@@ -10,10 +10,10 @@
 // rate cap on bulk injection, the critical class holds its target while
 // bulk degrades gracefully (visible as qos_throttle_cycles).
 //
-// The harness is also an acceptance gate: each variant runs on all four
-// scheduling backends (full, active-set, event, soa) plus a mid-measure
-// snapshot save/resume leg whose pre-restore history deliberately diverges,
-// and the measured statistics must be byte-identical across all five legs.
+// The harness is also an acceptance gate: each variant runs on both
+// scheduling backends (full, soa) plus a mid-measure snapshot save/resume
+// leg whose pre-restore history deliberately diverges, and the measured
+// statistics must be byte-identical across all three legs.
 // Any divergence — or a variant landing on the wrong side of its SLO
 // verdict — exits non-zero, so CI pins this binary directly
 // (bench/check_regression.py).
@@ -118,7 +118,7 @@ std::string ResumeLeg(const Scenario& sc, SchedulingMode mode,
   return ResultBytes(net);
 }
 
-/// Runs all four scheduling backends plus the snapshot save/resume leg,
+/// Runs both scheduling backends plus the snapshot save/resume leg,
 /// byte-comparing every run's results against the full-scheduling
 /// reference.
 VariantResult RunAllBackends(const Scenario& sc, const std::string& label) {
@@ -126,15 +126,9 @@ VariantResult RunAllBackends(const Scenario& sc, const std::string& label) {
   Serializer snap;
   const std::string reference =
       RunLeg(sc, SchedulingMode::kFull, &out, nullptr);
-  for (SchedulingMode mode :
-       {SchedulingMode::kActiveSet, SchedulingMode::kEvent,
-        SchedulingMode::kSoa}) {
-    const bool last = mode == SchedulingMode::kSoa;
-    if (RunLeg(sc, mode, nullptr, last ? &snap : nullptr) != reference) {
-      std::cerr << label << ": " << SchedulingModeName(mode)
-                << " scheduling diverged from full\n";
-      out.bit_identical = false;
-    }
+  if (RunLeg(sc, SchedulingMode::kSoa, nullptr, &snap) != reference) {
+    std::cerr << label << ": soa scheduling diverged from full\n";
+    out.bit_identical = false;
   }
   if (ResumeLeg(sc, SchedulingMode::kSoa, snap) != reference) {
     std::cerr << label << ": snapshot save/resume diverged\n";
@@ -164,7 +158,7 @@ int main(int argc, char** argv) {
   const BenchOptions opts = ParseBenchOptions(
       argc, argv, "qos_starvation",
       "QoS starvation study: a latency-critical class vs saturating bulk"
-      " wormholes, with four-way scheduling bit-identity checks",
+      " wormholes, with full-vs-soa scheduling bit-identity checks",
       [](FlagSet& flags) {
         const auto rate = [](double v) {
           return v < 0.0 ? std::string("must be >= 0") : std::string();

@@ -6,8 +6,7 @@
 //
 //   FlagSet flags("fig8_vc_monopolizing", "Fig. 8: VC monopolizing sweep");
 //   flags.AddDouble("scale", 1.0, "warmup/measure scaling factor");
-//   flags.AddEnum("scheduling", "full", "NoC scheduling", {"full",
-//                 "active-set"});
+//   flags.AddEnum("scheduling", "full", "NoC scheduling", {"full", "soa"});
 //   const Config args = flags.Parse(argc, argv);
 //   if (flags.help_requested()) { std::cout << flags.Help(); return 0; }
 //

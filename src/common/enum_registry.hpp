@@ -5,14 +5,14 @@
 // topology, QoS arbitration, network division, MC scheduler, ...).
 //
 // Usage:
-//   const EnumRegistry<SchedulingMode> kReg{"scheduling", {
-//       {"full", SchedulingMode::kFull},
-//       {"active-set", SchedulingMode::kActiveSet},
-//       {"active", SchedulingMode::kActiveSet},  // alias
+//   const EnumRegistry<McScheduler> kReg{"mc_scheduler", {
+//       {"in-order", McScheduler::kInOrder},
+//       {"fifo", McScheduler::kInOrder},  // alias
+//       {"fr-fcfs", McScheduler::kFrFcfs},
 //   }};
-//   kReg.Parse("Active");        // -> kActiveSet
-//   kReg.Name(kActiveSet);       // -> "active-set" (first registered wins)
-//   kReg.CanonicalNames();       // -> {"full", "active-set"}
+//   kReg.Parse("FIFO");          // -> kInOrder
+//   kReg.Name(kInOrder);         // -> "in-order" (first registered wins)
+//   kReg.CanonicalNames();       // -> {"in-order", "fr-fcfs"}
 #pragma once
 
 #include <algorithm>

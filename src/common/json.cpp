@@ -191,9 +191,16 @@ class JsonParser {
     SkipWhitespace();
     switch (Peek()) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == kJsonMaxDepth) {
+          Fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+               " levels");
+        }
+        ++depth_;
+        JsonValue v = Peek() == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind_ = JsonValue::Kind::kString;
@@ -363,6 +370,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open around the current value
 };
 
 JsonValue JsonValue::Parse(const std::string& text) {

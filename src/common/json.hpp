@@ -68,6 +68,12 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
+/// Deepest array/object nesting JsonValue::Parse accepts. Every document
+/// the codebase writes (job specs, manifests, status files, sweep JSON)
+/// nests fewer than 10 levels; the cap keeps a hostile document from
+/// exhausting the parser's stack.
+inline constexpr int kJsonMaxDepth = 128;
+
 /// A parsed JSON value — a minimal recursive-descent reader for the small
 /// machine-written documents this codebase produces itself (checkpoint
 /// manifests, bench result files). Numbers are doubles; object keys keep
@@ -84,7 +90,8 @@ class JsonValue {
   };
 
   /// Parses one JSON document (trailing whitespace allowed, nothing else).
-  /// Throws std::invalid_argument with an offset on malformed input.
+  /// Throws std::invalid_argument with an offset on malformed input,
+  /// including nesting deeper than kJsonMaxDepth.
   static JsonValue Parse(const std::string& text);
 
   Kind kind() const { return kind_; }

@@ -143,7 +143,8 @@ std::string ReadSnapshotFile(const std::string& path,
     throw SerializeError(
         "snapshot format version " + std::to_string(version) +
         " unsupported (this build reads version " +
-        std::to_string(kSnapshotFormatVersion) + "): " + path);
+        std::to_string(kSnapshotFormatVersion) +
+        "); re-run the sweep from scratch without resume: " + path);
   }
   const std::uint64_t fingerprint = d.U64();
   if (fingerprint != expected_fingerprint) {

@@ -54,11 +54,13 @@ enum class AuditInvariant : std::uint8_t {
   kFlitConservation = 1,
   kWormhole = 2,
   kQuiescence = 3,
-  /// Active-set scheduling only: every component with pending work must be
-  /// on the scheduler's dirty list. A sleeping router with buffered flits
-  /// (or a non-empty channel off the list) is a lost wakeup — a scheduler
-  /// bug that would silently freeze traffic rather than hang the process,
-  /// so the auditor flags it. Checked by the Network at snapshot cadence.
+  /// scheduling=soa only: every router holding flits must have a non-zero
+  /// skip counter, and every non-empty router-bound channel a due-plane
+  /// entry no later than its front item. A skipped router with buffered
+  /// flits (or a channel the delivery pass never visits) is a lost wakeup
+  /// — a scheduler bug that would silently freeze traffic rather than hang
+  /// the process, so the auditor flags it. Checked by SoaCore at snapshot
+  /// cadence.
   kSchedulerCoverage = 4,
 };
 
@@ -168,7 +170,7 @@ class Auditor {
   /// End-of-run invariants; call only once the network reports drained.
   void CheckQuiescence(Cycle now);
 
-  /// Records a violation found by an external checker (the Network's
+  /// Records a violation found by an external checker (the SoA core's
   /// scheduler-coverage sweep). Same counting/sampling as internal checks.
   void ReportViolation(AuditInvariant inv, Cycle now, std::string detail) {
     Violate(inv, now, std::move(detail));

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstddef>
 #include <deque>
+#include <string>
 
 #include "noc/flit.hpp"
 
@@ -53,16 +54,31 @@ class VcBuffer {
   }
 
   /// Snapshot support: contents only; capacity is construction-derived.
+  /// Load throws SerializeError on a payload no run can produce: more
+  /// flits than the capacity, a flit on a VC outside [0, num_vcs), or
+  /// ready cycles that decrease front to back.
   void Save(Serializer& s) const {
     s.U64(fifo_.size());
     for (const Flit& f : fifo_) gnoc::Save(s, f);
   }
-  void Load(Deserializer& d) {
+  void Load(Deserializer& d, VcId num_vcs) {
     fifo_.clear();
     const std::uint64_t n = d.U64();
+    if (n > capacity_) {
+      throw SerializeError("snapshot VC buffer holds " + std::to_string(n) +
+                           " flits, above its capacity " +
+                           std::to_string(capacity_));
+    }
     for (std::uint64_t i = 0; i < n; ++i) {
       Flit f;
       gnoc::Load(d, f);
+      if (f.vc < 0 || f.vc >= num_vcs) {
+        throw SerializeError("snapshot flit on VC " + std::to_string(f.vc) +
+                             " outside [0, " + std::to_string(num_vcs) + ")");
+      }
+      if (!fifo_.empty() && f.ready < fifo_.back().ready) {
+        throw SerializeError("snapshot VC buffer ready cycles decrease");
+      }
       fifo_.push_back(f);
     }
   }

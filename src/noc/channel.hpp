@@ -9,6 +9,7 @@
 #include <cassert>
 #include <deque>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "common/types.hpp"
@@ -16,9 +17,9 @@
 
 namespace gnoc {
 
-/// Activity notification for the active-set scheduler (DESIGN.md §9): a
+/// Push notification for the SoA core's link due planes (DESIGN.md §14): a
 /// plain function pointer + context + the subscriber-chosen index of the
-/// notifying component. Unset hooks cost one null-pointer test per event —
+/// notifying channel. Unset hooks cost one null-pointer test per push —
 /// the same cost model the auditor and telemetry hooks use.
 struct WakeHook {
   void (*fn)(void* ctx, std::size_t index) = nullptr;
@@ -53,8 +54,8 @@ class DelayLine {
   bool empty() const { return items_.empty(); }
   std::size_t size() const { return items_.size(); }
 
-  /// Fires `hook` on every Push (active-set scheduling: a non-empty channel
-  /// must be on the scheduler's dirty list).
+  /// Fires `hook` on every Push (scheduling=soa: a non-empty channel must
+  /// carry its front item's due cycle in the core's plane).
   void SetWakeHook(WakeHook hook) { wake_ = hook; }
 
   /// Enqueues `item` at time `now`; it is deliverable at `now + latency`.
@@ -68,8 +69,8 @@ class DelayLine {
     return !items_.empty() && items_.front().first <= now;
   }
 
-  /// Delivery cycle of the oldest in-flight item (event scheduling: the
-  /// channel's next wake). Requires a non-empty line.
+  /// Delivery cycle of the oldest in-flight item, the earliest of all
+  /// (pushes are FIFO at a fixed latency). Requires a non-empty line.
   Cycle FrontDue() const {
     assert(!items_.empty());
     return items_.front().first;
@@ -119,8 +120,12 @@ class DelayLine {
   }
 
   /// Snapshot support: in-flight items with their delivery times. Load
-  /// writes `items_` directly — no Push, so no wake hooks fire; the
-  /// active-set dirty lists are restored verbatim by Network::Load.
+  /// writes `items_` directly — no Push, so no wake hooks fire; the SoA
+  /// core re-derives its due planes after Network::Load. Load throws
+  /// SerializeError on a payload no run can produce: more than
+  /// `max_items` items (the credit loop bounds a link at num_vcs x
+  /// vc_depth), an item on a VC outside [0, num_vcs), or due cycles that
+  /// decrease front to back.
   void Save(Serializer& s) const {
     s.U64(items_.size());
     for (const auto& [due, item] : items_) {
@@ -128,13 +133,26 @@ class DelayLine {
       gnoc::Save(s, item);
     }
   }
-  void Load(Deserializer& d) {
+  void Load(Deserializer& d, std::size_t max_items, VcId num_vcs) {
     items_.clear();
     const std::uint64_t n = d.U64();
+    if (n > max_items) {
+      throw SerializeError("snapshot channel holds " + std::to_string(n) +
+                           " items, above the credit bound " +
+                           std::to_string(max_items));
+    }
     for (std::uint64_t i = 0; i < n; ++i) {
       const Cycle due = d.U64();
       T item{};
       gnoc::Load(d, item);
+      if (item.vc < 0 || item.vc >= num_vcs) {
+        throw SerializeError("snapshot channel item on VC " +
+                             std::to_string(item.vc) + " outside [0, " +
+                             std::to_string(num_vcs) + ")");
+      }
+      if (!items_.empty() && due < items_.back().first) {
+        throw SerializeError("snapshot channel due cycles decrease");
+      }
       items_.emplace_back(due, std::move(item));
     }
   }

@@ -86,6 +86,12 @@ Router::Router(NodeId node, Coord coord, const RouterConfig& config)
   qos_va_credit_.assign(static_cast<std::size_t>(num_ports_), {});
   qos_sa1_credit_.assign(static_cast<std::size_t>(num_ports_), {});
   qos_sa2_credit_.assign(static_cast<std::size_t>(num_ports_), {});
+  front_ready_.assign(total_vcs, kNeverCycle);
+  va_requests_.assign(total_vcs, false);
+  sa1_requests_.assign(static_cast<std::size_t>(config_.num_vcs), false);
+  sa2_requests_.assign(static_cast<std::size_t>(num_ports_), false);
+  nominee_.assign(static_cast<std::size_t>(num_ports_), -1);
+  grant_.assign(static_cast<std::size_t>(num_ports_), -1);
 }
 
 void Router::SetOutputChannel(Port out_port, FlitChannel* channel) {
@@ -118,12 +124,15 @@ void Router::AcceptFlit(Port in_port, const Flit& flit, Cycle now) {
     if (link >= 0) auditor_->OnFlitReceived(link, flit, now);
   }
   assert(flit.vc >= 0 && flit.vc < config_.num_vcs);
-  InputVc& ivc = Ivc(in_port, flit.vc);
+  const int idx = FlatVcIndex(in_port, flit.vc);
+  InputVc& ivc = input_vcs_[static_cast<std::size_t>(idx)];
   assert(!ivc.buffer.full() && "credit protocol violated: buffer overflow");
   Flit f = flit;
   f.ready = now + 1;  // models the RC/VA/SA pipeline stage
   ivc.buffer.Push(f);
-  wake_.Notify();
+  Cycle& ready = front_ready_[static_cast<std::size_t>(idx)];
+  if (ready == kNeverCycle) ready = f.ready;  // landed in an empty VC
+  ++buffered_;
 }
 
 void Router::AcceptCredit(Port out_port, VcId vc) {
@@ -131,26 +140,24 @@ void Router::AcceptCredit(Port out_port, VcId vc) {
   OutputVc& ovc = Ovc(out_port, vc);
   ++ovc.credits;
   assert(ovc.credits <= config_.vc_depth && "credit overflow");
-  wake_.Notify();
-}
-
-bool Router::FrontEligible(const InputVc& ivc, Cycle now) const {
-  return !ivc.buffer.empty() && ivc.buffer.Front().ready <= now;
 }
 
 void Router::Tick(Cycle now) {
   if (config_.vc_policy == VcPolicyKind::kDynamic) {
-    // The loop replays boundary updates a sleeping router missed under
-    // active-set scheduling. Only zero-count epochs can be missed (nonzero
-    // epoch counts keep HasWork true), and those never move the boundary,
-    // so the caught-up state is bit-identical to full scheduling; under
-    // full scheduling the loop body runs at most once per tick.
+    // The loop replays the boundary updates a router missed while
+    // scheduling=soa skipped it. Only zero-count epochs can be missed
+    // (nonzero epoch counts keep HasWork true), and those never move the
+    // boundary, so the caught-up state is bit-identical to full
+    // scheduling; under full scheduling the loop body runs at most once
+    // per tick.
     while (now >= next_boundary_update_) UpdateDynamicBoundaries();
   }
   RecycleOutputVcs();
-  RouteAndAllocate(now);
-  SwitchAllocateAndTraverse(now);
-  stats_.buffered_flit_cycles += BufferedFlits();
+  if (RouteEligible(now)) {
+    AllocateVcs(now);
+    if (NominateInputs(now)) GrantAndTraverse(now);
+  }
+  stats_.buffered_flit_cycles += buffered_;
 }
 
 VcRange Router::AllowedRange(TrafficClass cls, Port out_port) const {
@@ -207,57 +214,61 @@ void Router::RecycleOutputVcs() {
   }
 }
 
-void Router::RouteAndAllocate(Cycle now) {
+bool Router::RouteEligible(Cycle now) {
   // --- RC: compute the output port for input VCs whose front flit is a
   // head and whose current packet has no route yet.
-  for (int p = 0; p < num_ports_; ++p) {
-    for (VcId v = 0; v < config_.num_vcs; ++v) {
-      InputVc& ivc = Ivc(static_cast<Port>(p), v);
-      if (ivc.route_valid || !FrontEligible(ivc, now)) continue;
-      const Flit& front = ivc.buffer.Front();
-      assert(IsHead(front) &&
-             "non-head flit at front of an unrouted VC: wormhole broken");
-      ivc.out_port = RouteFor(front.cls, front.dst_coord);
-      ivc.vc_half = RouteHalfFor(front.cls, front.dst_coord);
-      ivc.route_valid = true;
-      ivc.eject = PortIndex(ivc.out_port) < num_local_ports_;
-      ivc.out_vc = kInvalidVc;
-    }
+  // Local copies of the array bounds: the byte-sized field stores below
+  // may alias anything, which would otherwise force a reload per VC.
+  const Cycle* ready = front_ready_.data();
+  const std::size_t total_vcs = front_ready_.size();
+  bool any_eligible = false;
+  for (std::size_t idx = 0; idx < total_vcs; ++idx) {
+    if (ready[idx] > now) continue;
+    any_eligible = true;
+    InputVc& ivc = input_vcs_[idx];
+    if (ivc.route_valid) continue;
+    const Flit& front = ivc.buffer.Front();
+    assert(IsHead(front) &&
+           "non-head flit at front of an unrouted VC: wormhole broken");
+    ivc.out_port = RouteFor(front.cls, front.dst_coord);
+    ivc.vc_half = RouteHalfFor(front.cls, front.dst_coord);
+    ivc.route_valid = true;
+    ivc.eject = PortIndex(ivc.out_port) < num_local_ports_;
+    ivc.out_vc = kInvalidVc;
   }
+  return any_eligible;
+}
 
+void Router::AllocateVcs(Cycle now) {
   // --- VA: allocate a downstream VC per output port, round-robin over
   // requesting input VCs. Ejection needs no VC (the NIC reassembles per
   // class), so local-bound packets skip VA.
-  const auto total_vcs =
-      static_cast<std::size_t>(num_ports_ * config_.num_vcs);
-  for (int op = 0; op < num_ports_; ++op) {
-    const Port out_port = static_cast<Port>(op);
-    if (op < num_local_ports_) continue;
+  const Cycle* ready = front_ready_.data();
+  const std::size_t total_vcs = front_ready_.size();
+  for (int op = num_local_ports_; op < num_ports_; ++op) {
     if (out_channels_[static_cast<std::size_t>(op)] == nullptr) continue;
-
-    std::vector<bool> requests(total_vcs, false);
+    const Port out_port = static_cast<Port>(op);
+    va_requests_.assign(total_vcs, false);
     int num_requests = 0;
-    for (int p = 0; p < num_ports_; ++p) {
-      for (VcId v = 0; v < config_.num_vcs; ++v) {
-        const InputVc& ivc = Ivc(static_cast<Port>(p), v);
-        if (ivc.route_valid && !ivc.eject && ivc.out_vc == kInvalidVc &&
-            ivc.out_port == out_port && FrontEligible(ivc, now)) {
-          requests[static_cast<std::size_t>(
-              FlatVcIndex(static_cast<Port>(p), v))] = true;
-          ++num_requests;
-        }
+    for (std::size_t idx = 0; idx < total_vcs; ++idx) {
+      if (ready[idx] > now) continue;
+      const InputVc& ivc = input_vcs_[idx];
+      if (ivc.route_valid && !ivc.eject && ivc.out_vc == kInvalidVc &&
+          ivc.out_port == out_port) {
+        va_requests_[idx] = true;
+        ++num_requests;
       }
     }
     while (num_requests > 0) {
       const int winner = QosArbitrate(
-          *va_arb_[static_cast<std::size_t>(op)], requests,
+          *va_arb_[static_cast<std::size_t>(op)], va_requests_,
           config_.qos_arbitration, config_.qos_priority,
           qos_va_credit_[static_cast<std::size_t>(op)], [&](int i) {
             return ClassIndex(
                 input_vcs_[static_cast<std::size_t>(i)].buffer.Front().cls);
           });
       if (winner < 0) break;
-      requests[static_cast<std::size_t>(winner)] = false;
+      va_requests_[static_cast<std::size_t>(winner)] = false;
       --num_requests;
       InputVc& ivc = input_vcs_[static_cast<std::size_t>(winner)];
       const TrafficClass cls = ivc.buffer.Front().cls;
@@ -280,17 +291,23 @@ void Router::RouteAndAllocate(Cycle now) {
   }
 }
 
-void Router::SwitchAllocateAndTraverse(Cycle now) {
+bool Router::NominateInputs(Cycle now) {
   // --- SA phase 1: each input port nominates one of its VCs.
-  std::vector<int> nominee(static_cast<std::size_t>(num_ports_),
-                           -1);  // VC id per input port, -1 = none
+  bool any_nominee = false;
   for (int p = 0; p < num_ports_; ++p) {
-    std::vector<bool> requests(static_cast<std::size_t>(config_.num_vcs),
-                               false);
+    nominee_[static_cast<std::size_t>(p)] = -1;
+    const Cycle* port_ready =
+        front_ready_.data() + static_cast<std::size_t>(p * config_.num_vcs);
+    if (std::none_of(port_ready, port_ready + config_.num_vcs,
+                     [now](Cycle ready) { return ready <= now; })) {
+      continue;  // no VC can request or stall here
+    }
+    sa1_requests_.assign(sa1_requests_.size(), false);
     bool any = false;
     for (VcId v = 0; v < config_.num_vcs; ++v) {
+      if (port_ready[v] > now) continue;
       const InputVc& ivc = Ivc(static_cast<Port>(p), v);
-      if (!ivc.route_valid || !FrontEligible(ivc, now)) continue;
+      if (!ivc.route_valid) continue;
       const TrafficClass cls = ivc.buffer.Front().cls;
       bool resource_ok = false;
       if (ivc.eject) {
@@ -300,7 +317,7 @@ void Router::SwitchAllocateAndTraverse(Cycle now) {
         resource_ok = Ovc(ivc.out_port, ivc.out_vc).credits > 0;
       }
       if (resource_ok) {
-        requests[static_cast<std::size_t>(v)] = true;
+        sa1_requests_[static_cast<std::size_t>(v)] = true;
         any = true;
       } else if (ivc.out_vc != kInvalidVc || ivc.eject) {
         ++stats_.sa_stalls;
@@ -312,37 +329,41 @@ void Router::SwitchAllocateAndTraverse(Cycle now) {
       }
     }
     if (any) {
-      nominee[static_cast<std::size_t>(p)] = QosArbitrate(
-          *sa_input_arb_[static_cast<std::size_t>(p)], requests,
+      const int won = QosArbitrate(
+          *sa_input_arb_[static_cast<std::size_t>(p)], sa1_requests_,
           config_.qos_arbitration, config_.qos_priority,
           qos_sa1_credit_[static_cast<std::size_t>(p)], [&](int v) {
             return ClassIndex(
                 Ivc(static_cast<Port>(p), v).buffer.Front().cls);
           });
+      nominee_[static_cast<std::size_t>(p)] = won;
+      if (won >= 0) any_nominee = true;
     }
   }
+  return any_nominee;
+}
 
+void Router::GrantAndTraverse(Cycle now) {
   // --- SA phase 2: each output port grants one input port.
-  std::vector<int> grant(static_cast<std::size_t>(num_ports_),
-                         -1);  // input port per output port, -1 = none
   for (int op = 0; op < num_ports_; ++op) {
-    std::vector<bool> requests(static_cast<std::size_t>(num_ports_), false);
+    grant_[static_cast<std::size_t>(op)] = -1;
+    sa2_requests_.assign(sa2_requests_.size(), false);
     bool any = false;
     for (int p = 0; p < num_ports_; ++p) {
-      const int v = nominee[static_cast<std::size_t>(p)];
+      const int v = nominee_[static_cast<std::size_t>(p)];
       if (v < 0) continue;
       const InputVc& ivc = Ivc(static_cast<Port>(p), v);
       if (PortIndex(ivc.out_port) == op) {
-        requests[static_cast<std::size_t>(p)] = true;
+        sa2_requests_[static_cast<std::size_t>(p)] = true;
         any = true;
       }
     }
     if (any) {
-      grant[static_cast<std::size_t>(op)] = QosArbitrate(
-          *sa_output_arb_[static_cast<std::size_t>(op)], requests,
+      grant_[static_cast<std::size_t>(op)] = QosArbitrate(
+          *sa_output_arb_[static_cast<std::size_t>(op)], sa2_requests_,
           config_.qos_arbitration, config_.qos_priority,
           qos_sa2_credit_[static_cast<std::size_t>(op)], [&](int p2) {
-            const int v2 = nominee[static_cast<std::size_t>(p2)];
+            const int v2 = nominee_[static_cast<std::size_t>(p2)];
             return ClassIndex(
                 Ivc(static_cast<Port>(p2), v2).buffer.Front().cls);
           });
@@ -352,12 +373,17 @@ void Router::SwitchAllocateAndTraverse(Cycle now) {
   // --- ST: winners traverse the switch.
   bool any_traversal = false;
   for (int op = 0; op < num_ports_; ++op) {
-    const int p = grant[static_cast<std::size_t>(op)];
+    const int p = grant_[static_cast<std::size_t>(op)];
     if (p < 0) continue;
-    const int v = nominee[static_cast<std::size_t>(p)];
+    const int v = nominee_[static_cast<std::size_t>(p)];
     assert(v >= 0);
-    InputVc& ivc = Ivc(static_cast<Port>(p), v);
+    const auto idx =
+        static_cast<std::size_t>(FlatVcIndex(static_cast<Port>(p), v));
+    InputVc& ivc = input_vcs_[idx];
     Flit flit = ivc.buffer.Pop();
+    front_ready_[idx] =
+        ivc.buffer.empty() ? kNeverCycle : ivc.buffer.Front().ready;
+    --buffered_;
     any_traversal = true;
     ++stats_.flits_forwarded;
     if (progress_sink_ != nullptr) ++*progress_sink_;
@@ -408,12 +434,6 @@ void Router::ResetStats() {
   stats_.flits_out.assign(static_cast<std::size_t>(num_ports_), {});
   stats_.credit_stall_by_vc.assign(static_cast<std::size_t>(config_.num_vcs),
                                    0);
-}
-
-std::size_t Router::BufferedFlits() const {
-  std::size_t total = 0;
-  for (const InputVc& ivc : input_vcs_) total += ivc.buffer.size();
-  return total;
 }
 
 std::size_t Router::VcOccupancy(Port in_port, VcId vc) const {
@@ -477,13 +497,18 @@ void Router::Save(Serializer& s) const {
 }
 
 void Router::Load(Deserializer& d) {
-  for (InputVc& ivc : input_vcs_) {
-    ivc.buffer.Load(d);
+  buffered_ = 0;
+  for (std::size_t idx = 0; idx < input_vcs_.size(); ++idx) {
+    InputVc& ivc = input_vcs_[idx];
+    ivc.buffer.Load(d, config_.num_vcs);
     ivc.route_valid = d.Bool();
     ivc.out_port = static_cast<Port>(d.U8());
     ivc.out_vc = d.I32();
     ivc.eject = d.Bool();
     ivc.vc_half = static_cast<std::int8_t>(d.U8());
+    front_ready_[idx] =
+        ivc.buffer.empty() ? kNeverCycle : ivc.buffer.Front().ready;
+    buffered_ += static_cast<std::uint32_t>(ivc.buffer.size());
   }
   for (OutputVc& ovc : output_vcs_) {
     ovc.allocated = d.Bool();

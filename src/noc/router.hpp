@@ -43,20 +43,17 @@ class SoaCore;
 /// The dateline restriction of a class's VC range: half 0 is the lower
 /// (pre-wrap) half, half 1 the upper (post-wrap) half. Needs size >= 2 —
 /// the Network validates that for every dateline topology at construction.
-/// Shared by the router's VA stage and its SoA replica (noc/soa_core.cpp).
 VcRange DatelineHalf(VcRange range, std::int8_t half);
 
-/// One QoS-aware arbiter invocation, shared verbatim by the object router
-/// (router.cpp) and its SoA replica (soa_core.cpp) — any change here keeps
-/// the backends bit-identical by construction. `cls_of(i)` maps a request
-/// index to its class index and is only called for indices with
-/// requests[i] == true (and for the winner). Under kNone this is exactly
-/// `arb.Arbitrate(requests)`. kStrict masks the requests to the
-/// highest-priority requesting class; ties fall through to plain
-/// arbitration. kWrr spends per-class credits (`wrr_credit`, persistent
-/// per arbiter site): when no requesting class holds credit the credits
-/// recharge to the class weights, the mask keeps funded classes only, and
-/// the winner's class pays one credit.
+/// One QoS-aware arbiter invocation of the router's VA, SA1 and SA2
+/// stages. `cls_of(i)` maps a request index to its class index and is only
+/// called for indices with requests[i] == true (and for the winner). Under
+/// kNone this is exactly `arb.Arbitrate(requests)`. kStrict masks the
+/// requests to the highest-priority requesting class; ties fall through to
+/// plain arbitration. kWrr spends per-class credits (`wrr_credit`,
+/// persistent per arbiter site): when no requesting class holds credit the
+/// credits recharge to the class weights, the mask keeps funded classes
+/// only, and the winner's class pays one credit.
 template <typename ClsOf>
 int QosArbitrate(Arbiter& arb, const std::vector<bool>& requests,
                  QosArbitration mode,
@@ -238,10 +235,6 @@ class Router {
     audit_in_[static_cast<std::size_t>(PortIndex(in_port))] = link;
   }
 
-  /// Fired whenever an event arrives (flit or credit) so the active-set
-  /// scheduler can put this router back on its dirty list.
-  void SetWakeHook(WakeHook hook) { wake_ = hook; }
-
   /// Counter bumped on every switch traversal (the network's incremental
   /// deadlock-watchdog progress signal). nullptr = off.
   void SetProgressSink(std::uint64_t* sink) { progress_sink_ = sink; }
@@ -256,7 +249,9 @@ class Router {
   void AcceptCredit(Port out_port, VcId vc);
 
   /// Runs one cycle: route computation, VC allocation, switch allocation and
-  /// switch traversal for eligible flits.
+  /// switch traversal for eligible flits. The only RC/VA/SA/ST
+  /// implementation: both scheduling modes call it, so they differ only in
+  /// which routers they skip (DESIGN.md §14).
   void Tick(Cycle now);
 
   // --- introspection ---
@@ -273,24 +268,19 @@ class Router {
            nullptr;
   }
 
-  /// Total flits currently buffered in all input VCs.
-  std::size_t BufferedFlits() const;
+  /// Total flits currently buffered in all input VCs: a running count kept
+  /// by AcceptFlit, switch traversal and Load (O(1)).
+  std::size_t BufferedFlits() const { return buffered_; }
 
   /// True when a Tick can still change state: flits buffered, or (dynamic
   /// policy) uncommitted epoch flit counts awaiting the next boundary
-  /// update. The active-set scheduler removes a router from its dirty list
-  /// only when this is false; every way it can become true again fires the
-  /// wake hook. Credits in flight need no term: a credit delivery fires the
-  /// hook, and the recycle it enables is a pure function of credit state.
+  /// update. scheduling=soa skips the Tick of a router for which this is
+  /// false. Credits need no term: the recycle a credit enables is a pure
+  /// function of credit state and is deferred safely to the next Tick.
   bool HasWork() const {
-    return BufferedFlits() > 0 ||
+    return buffered_ > 0 ||
            (config_.vc_policy == VcPolicyKind::kDynamic && epoch_dirty_);
   }
-
-  /// The next dynamic-partitioning epoch boundary — the earliest cycle a
-  /// Tick of an otherwise-idle router can change state (event scheduling:
-  /// the wake cycle when only epoch state is dirty).
-  Cycle next_boundary_update() const { return next_boundary_update_; }
 
   /// The output port a packet of class `cls` headed for `dst` takes here
   /// (LUT when the topology or mesh dimensions are known, ComputeOutputPort
@@ -329,15 +319,16 @@ class Router {
 
   /// Snapshot support (DESIGN.md §10): all mutable per-cycle state — input
   /// and output VCs, dynamic-boundary state, arbiter priorities, stats.
-  /// Wiring (channels, NICs, auditor, hooks) and the route LUT are
+  /// Wiring (channels, NICs, auditor) and the route LUT are
   /// construction-derived and not serialized; Load requires a Router built
-  /// from the identical config.
+  /// from the identical config. The ready cycles and the buffered count
+  /// are re-derived from the loaded buffers.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
 
  private:
-  /// The SoA tick path (scheduling=soa) replays this router's phases over
-  /// flattened planes, reusing the object arbiters, stats and VC state.
+  /// Plants a stale buffered count for the scheduler-coverage mutation
+  /// test (SoaCore::PlantStaleSkipCounter).
   friend class SoaCore;
 
   /// State of one input VC.
@@ -391,11 +382,15 @@ class Router {
     return output_vcs_[static_cast<std::size_t>(FlatVcIndex(port, vc))];
   }
 
-  /// True when the front flit of `ivc` exists and is pipeline-eligible.
-  bool FrontEligible(const InputVc& ivc, Cycle now) const;
-
-  void RouteAndAllocate(Cycle now);  // RC + VA
-  void SwitchAllocateAndTraverse(Cycle now);  // SA + ST
+  /// RC for every eligible unrouted head. Returns false when no input VC
+  /// is eligible this cycle: VA/SA/ST then cannot touch any state (no
+  /// requests, so no arbiter call and no stall counter) and are skipped.
+  bool RouteEligible(Cycle now);
+  void AllocateVcs(Cycle now);  // VA
+  /// SA phase 1: each input port nominates one VC into `nominee_`.
+  /// Returns false when no port nominated (SA2/ST would change nothing).
+  bool NominateInputs(Cycle now);
+  void GrantAndTraverse(Cycle now);  // SA phase 2 + ST
 
   NodeId node_;
   Coord coord_;
@@ -407,6 +402,11 @@ class Router {
 
   std::vector<InputVc> input_vcs_;    // [port][vc] flattened
   std::vector<OutputVc> output_vcs_;  // [port][vc] flattened
+  /// Ready cycle of each input VC's front flit, kNeverCycle when empty
+  /// ([port][vc] flattened): eligibility is one compare on a dense array
+  /// instead of a deque dereference.
+  std::vector<Cycle> front_ready_;
+  std::uint32_t buffered_ = 0;  ///< flits across all input VCs
 
   std::vector<FlitChannel*> out_channels_;    // sized num_ports_
   std::vector<CreditChannel*> credit_return_;
@@ -417,7 +417,6 @@ class Router {
   std::vector<int> audit_out_;  // audit link ids, -1 = none
   std::vector<int> audit_in_;
 
-  WakeHook wake_;
   std::uint64_t* progress_sink_ = nullptr;
 
   /// Per-(destination node, class) output ports and dateline VC halves,
@@ -445,6 +444,13 @@ class Router {
   std::vector<std::array<int, kNumClasses>> qos_va_credit_;
   std::vector<std::array<int, kNumClasses>> qos_sa1_credit_;
   std::vector<std::array<int, kNumClasses>> qos_sa2_credit_;
+
+  // Arbitration scratch, preallocated so a Tick never allocates.
+  std::vector<bool> va_requests_;   ///< [port][vc] flattened
+  std::vector<bool> sa1_requests_;  ///< per VC of one input port
+  std::vector<bool> sa2_requests_;  ///< per input port
+  std::vector<int> nominee_;        ///< VC per input port, -1 = none
+  std::vector<int> grant_;          ///< input port per output port, -1 = none
 
   RouterStats stats_;
 };

@@ -1,6 +1,6 @@
 #include "noc/soa_core.hpp"
 
-#include <cassert>
+#include <string>
 
 #include "noc/audit.hpp"
 #include "noc/network.hpp"
@@ -10,35 +10,10 @@
 namespace gnoc {
 
 SoaCore::SoaCore(Network& net) : net_(net) {
-  num_ports_ = net_.topo_.radix();
-  num_local_ports_ = net_.topo_.num_local_ports();
-  num_vcs_ = net_.config_.num_vcs;
-  total_vcs_ = num_ports_ * num_vcs_;
-  dynamic_policy_ = net_.config_.vc_policy == VcPolicyKind::kDynamic;
-
-  routers_.resize(net_.routers_.size());
-  front_ready_.assign(routers_.size() * static_cast<std::size_t>(total_vcs_),
-                      kNeverCycle);
-  for (std::size_t i = 0; i < routers_.size(); ++i) {
-    routers_[i].router = net_.routers_[i].get();
-    routers_[i].vc_base =
-        static_cast<std::uint32_t>(i * static_cast<std::size_t>(total_vcs_));
-  }
-
   flit_due_.assign(net_.flit_links_.size(), kNeverCycle);
-  flit_dst_base_.resize(net_.flit_links_.size());
-  flit_dst_router_.resize(net_.flit_links_.size());
   for (std::size_t i = 0; i < net_.flit_links_.size(); ++i) {
-    const Network::FlitLink& link = *net_.flit_links_[i];
-    // Router node ids equal their index in routers_ (Network construction).
-    const auto dst = static_cast<std::uint32_t>(link.dst_router->node());
-    flit_dst_router_[i] = dst;
-    flit_dst_base_[i] = routers_[dst].vc_base +
-                        static_cast<std::uint32_t>(PortIndex(link.dst_port) *
-                                                   num_vcs_);
     net_.flit_links_[i]->channel.SetWakeHook({&SoaCore::WakeFlitLink, this, i});
   }
-
   credit_due_.assign(net_.credit_links_.size(), kNeverCycle);
   credit_router_bound_.resize(net_.credit_links_.size());
   for (std::size_t i = 0; i < net_.credit_links_.size(); ++i) {
@@ -47,29 +22,12 @@ SoaCore::SoaCore(Network& net) : net_(net) {
     net_.credit_links_[i]->channel.SetWakeHook(
         {&SoaCore::WakeCreditLink, this, i});
   }
-
-  va_requests_.assign(static_cast<std::size_t>(total_vcs_), false);
-  sa1_requests_.assign(static_cast<std::size_t>(num_vcs_), false);
-  sa2_requests_.assign(static_cast<std::size_t>(num_ports_), false);
-  nominee_.assign(static_cast<std::size_t>(num_ports_), -1);
-  grant_.assign(static_cast<std::size_t>(num_ports_), -1);
-
   RebuildFromObjects();
 }
 
 void SoaCore::RebuildFromObjects() {
   buffered_total_ = 0;
-  for (RouterRec& rec : routers_) {
-    const Router& rt = *rec.router;
-    rec.buffered = 0;
-    Cycle* ready = front_ready_.data() + rec.vc_base;
-    for (int idx = 0; idx < total_vcs_; ++idx) {
-      const VcBuffer& buf = rt.input_vcs_[static_cast<std::size_t>(idx)].buffer;
-      ready[idx] = buf.empty() ? kNeverCycle : buf.Front().ready;
-      rec.buffered += static_cast<std::uint32_t>(buf.size());
-    }
-    buffered_total_ += rec.buffered;
-  }
+  for (const auto& r : net_.routers_) buffered_total_ += r->BufferedFlits();
   flits_in_channels_ = 0;
   for (std::size_t i = 0; i < flit_due_.size(); ++i) {
     const FlitChannel& ch = net_.flit_links_[i]->channel;
@@ -105,17 +63,10 @@ void SoaCore::DeliverFlitLinks(Cycle now) {
     if (flit_due_[i] > now) continue;
     ++steps_;
     Network::FlitLink& link = *net_.flit_links_[i];
-    RouterRec& rec = routers_[flit_dst_router_[i]];
     while (auto flit = link.channel.Pop(now)) {
       --flits_in_channels_;
-      link.dst_router->AcceptFlit(link.dst_port, *flit, now);
-      // AcceptFlit stamps ready = now + 1; when the flit landed in an empty
-      // VC it is the new front.
-      const std::uint32_t gi =
-          flit_dst_base_[i] + static_cast<std::uint32_t>(flit->vc);
-      if (front_ready_[gi] == kNeverCycle) front_ready_[gi] = now + 1;
-      ++rec.buffered;
       ++buffered_total_;
+      link.dst_router->AcceptFlit(link.dst_port, *flit, now);
     }
     flit_due_[i] = link.channel.empty() ? kNeverCycle : link.channel.FrontDue();
   }
@@ -136,269 +87,17 @@ void SoaCore::DeliverCreditLinks(Cycle now) {
 }
 
 void SoaCore::TickRouters(Cycle now) {
-  for (std::size_t r = 0; r < routers_.size(); ++r) {
-    const RouterRec& rec = routers_[r];
-    // Same skip rule Router::HasWork gives the active-set scheduler: no
-    // buffered flits and no uncommitted epoch counts means a Tick cannot
-    // change state (recycle is an idempotent pure function of credit state
-    // and is deferred safely; zero-count epoch updates never move
-    // boundaries and are replayed by the catch-up loop).
-    if (rec.buffered == 0 &&
-        !(dynamic_policy_ && rec.router->epoch_dirty_)) {
-      continue;
-    }
+  for (const auto& r : net_.routers_) {
+    // The skip rule: without buffered flits or uncommitted epoch counts a
+    // Tick cannot change state (recycle is an idempotent pure function of
+    // credit state and is deferred safely; zero-count epoch updates never
+    // move boundaries and are replayed by Router::Tick's catch-up loop).
+    if (!r->HasWork()) continue;
     ++steps_;
-    TickRouter(r, now);
+    const std::size_t before = r->BufferedFlits();
+    r->Tick(now);
+    buffered_total_ -= before - r->BufferedFlits();
   }
-}
-
-void SoaCore::TickRouter(std::size_t r, Cycle now) {
-  RouterRec& rec = routers_[r];
-  Router& rt = *rec.router;
-  const Cycle* ready = front_ready_.data() + rec.vc_base;
-
-  if (dynamic_policy_) {
-    while (now >= rt.next_boundary_update_) rt.UpdateDynamicBoundaries();
-  }
-
-  // --- recycle output VCs (Router::RecycleOutputVcs) ---
-  for (int p = 0; p < num_ports_; ++p) {
-    if (rt.out_channels_[static_cast<std::size_t>(p)] == nullptr) continue;
-    for (VcId v = 0; v < num_vcs_; ++v) {
-      Router::OutputVc& ovc =
-          rt.output_vcs_[static_cast<std::size_t>(p * num_vcs_ + v)];
-      if (ovc.allocated && ovc.tail_sent &&
-          (!rt.config_.atomic_vc_realloc ||
-           ovc.credits == rt.config_.vc_depth)) {
-        ovc.allocated = false;
-        ovc.tail_sent = false;
-      }
-    }
-  }
-
-  // --- RC (Router::RouteAndAllocate): one plane scan finds the eligible
-  // VCs; when none is eligible this cycle VA/SA/ST cannot touch any state
-  // (requests stay empty, arbiters are not invoked, stall counters only
-  // fire for eligible VCs) and are skipped wholesale.
-  bool any_eligible = false;
-  for (int idx = 0; idx < total_vcs_; ++idx) {
-    if (ready[idx] > now) continue;
-    any_eligible = true;
-    Router::InputVc& ivc = rt.input_vcs_[static_cast<std::size_t>(idx)];
-    if (ivc.route_valid) continue;
-    const Flit& front = ivc.buffer.Front();
-    assert(IsHead(front) &&
-           "non-head flit at front of an unrouted VC: wormhole broken");
-    ivc.out_port = rt.RouteFor(front.cls, front.dst_coord);
-    ivc.vc_half = rt.RouteHalfFor(front.cls, front.dst_coord);
-    ivc.route_valid = true;
-    ivc.eject = PortIndex(ivc.out_port) < num_local_ports_;
-    ivc.out_vc = kInvalidVc;
-  }
-  if (!any_eligible) {
-    rt.stats_.buffered_flit_cycles += rec.buffered;
-    return;
-  }
-
-  // --- VA (Router::RouteAndAllocate) ---
-  for (int op = num_local_ports_; op < num_ports_; ++op) {
-    if (rt.out_channels_[static_cast<std::size_t>(op)] == nullptr) continue;
-    const Port out_port = static_cast<Port>(op);
-    va_requests_.assign(static_cast<std::size_t>(total_vcs_), false);
-    int num_requests = 0;
-    for (int idx = 0; idx < total_vcs_; ++idx) {
-      if (ready[idx] > now) continue;
-      const Router::InputVc& ivc =
-          rt.input_vcs_[static_cast<std::size_t>(idx)];
-      if (ivc.route_valid && !ivc.eject && ivc.out_vc == kInvalidVc &&
-          ivc.out_port == out_port) {
-        va_requests_[static_cast<std::size_t>(idx)] = true;
-        ++num_requests;
-      }
-    }
-    while (num_requests > 0) {
-      // QoS-aware arbitration, identical to Router::RouteAndAllocate (the
-      // shared QosArbitrate helper keeps the backends bit-identical).
-      const int winner = QosArbitrate(
-          *rt.va_arb_[static_cast<std::size_t>(op)], va_requests_,
-          rt.config_.qos_arbitration, rt.config_.qos_priority,
-          rt.qos_va_credit_[static_cast<std::size_t>(op)], [&](int i) {
-            return ClassIndex(
-                rt.input_vcs_[static_cast<std::size_t>(i)].buffer.Front().cls);
-          });
-      if (winner < 0) break;
-      va_requests_[static_cast<std::size_t>(winner)] = false;
-      --num_requests;
-      Router::InputVc& ivc = rt.input_vcs_[static_cast<std::size_t>(winner)];
-      const TrafficClass cls = ivc.buffer.Front().cls;
-      VcRange range = rt.AllowedRange(cls, out_port);
-      if (ivc.vc_half >= 0) range = DatelineHalf(range, ivc.vc_half);
-      VcId granted = kInvalidVc;
-      for (VcId v = range.begin; v < range.end; ++v) {
-        if (!rt.output_vcs_[static_cast<std::size_t>(op * num_vcs_ + v)]
-                 .allocated) {
-          granted = v;
-          break;
-        }
-      }
-      if (granted == kInvalidVc) {
-        ++rt.stats_.va_failures;
-        continue;  // another class's requester may still succeed
-      }
-      rt.output_vcs_[static_cast<std::size_t>(op * num_vcs_ + granted)]
-          .allocated = true;
-      ivc.out_vc = granted;
-    }
-  }
-
-  // --- SA phase 1 (Router::SwitchAllocateAndTraverse) ---
-  int num_nominees = 0;
-  for (int p = 0; p < num_ports_; ++p) {
-    nominee_[static_cast<std::size_t>(p)] = -1;
-    const Cycle* port_ready = ready + p * num_vcs_;
-    bool port_eligible = false;
-    for (int v = 0; v < num_vcs_; ++v) {
-      if (port_ready[v] <= now) {
-        port_eligible = true;
-        break;
-      }
-    }
-    if (!port_eligible) continue;  // no VC can request or stall here
-    sa1_requests_.assign(static_cast<std::size_t>(num_vcs_), false);
-    bool any = false;
-    for (int v = 0; v < num_vcs_; ++v) {
-      if (port_ready[v] > now) continue;
-      const Router::InputVc& ivc =
-          rt.input_vcs_[static_cast<std::size_t>(p * num_vcs_ + v)];
-      if (!ivc.route_valid) continue;
-      const TrafficClass cls = ivc.buffer.Front().cls;
-      bool resource_ok = false;
-      if (ivc.eject) {
-        Nic* nic = rt.nics_[static_cast<std::size_t>(PortIndex(ivc.out_port))];
-        resource_ok = nic != nullptr && nic->CanAcceptEjection(cls);
-      } else if (ivc.out_vc != kInvalidVc) {
-        resource_ok =
-            rt.output_vcs_[static_cast<std::size_t>(
-                               PortIndex(ivc.out_port) * num_vcs_ + ivc.out_vc)]
-                .credits > 0;
-      }
-      if (resource_ok) {
-        sa1_requests_[static_cast<std::size_t>(v)] = true;
-        any = true;
-      } else if (ivc.out_vc != kInvalidVc || ivc.eject) {
-        ++rt.stats_.sa_stalls;
-        if (!ivc.eject) {
-          ++rt.stats_
-                .credit_stall_by_vc[static_cast<std::size_t>(ivc.out_vc)];
-        }
-      }
-    }
-    if (any) {
-      const int won = QosArbitrate(
-          *rt.sa_input_arb_[static_cast<std::size_t>(p)], sa1_requests_,
-          rt.config_.qos_arbitration, rt.config_.qos_priority,
-          rt.qos_sa1_credit_[static_cast<std::size_t>(p)], [&](int v2) {
-            return ClassIndex(
-                rt.input_vcs_[static_cast<std::size_t>(p * num_vcs_ + v2)]
-                    .buffer.Front()
-                    .cls);
-          });
-      nominee_[static_cast<std::size_t>(p)] = won;
-      if (won >= 0) ++num_nominees;
-    }
-  }
-  if (num_nominees == 0) {
-    rt.stats_.buffered_flit_cycles += rec.buffered;
-    return;  // nothing can traverse; SA2/ST would not change state
-  }
-
-  // --- SA phase 2 ---
-  for (int op = 0; op < num_ports_; ++op) {
-    grant_[static_cast<std::size_t>(op)] = -1;
-    sa2_requests_.assign(static_cast<std::size_t>(num_ports_), false);
-    bool any = false;
-    for (int p = 0; p < num_ports_; ++p) {
-      const int v = nominee_[static_cast<std::size_t>(p)];
-      if (v < 0) continue;
-      const Router::InputVc& ivc =
-          rt.input_vcs_[static_cast<std::size_t>(p * num_vcs_ + v)];
-      if (PortIndex(ivc.out_port) == op) {
-        sa2_requests_[static_cast<std::size_t>(p)] = true;
-        any = true;
-      }
-    }
-    if (any) {
-      grant_[static_cast<std::size_t>(op)] = QosArbitrate(
-          *rt.sa_output_arb_[static_cast<std::size_t>(op)], sa2_requests_,
-          rt.config_.qos_arbitration, rt.config_.qos_priority,
-          rt.qos_sa2_credit_[static_cast<std::size_t>(op)], [&](int p2) {
-            const int v2 = nominee_[static_cast<std::size_t>(p2)];
-            return ClassIndex(
-                rt.input_vcs_[static_cast<std::size_t>(p2 * num_vcs_ + v2)]
-                    .buffer.Front()
-                    .cls);
-          });
-    }
-  }
-
-  // --- ST ---
-  bool any_traversal = false;
-  for (int op = 0; op < num_ports_; ++op) {
-    const int p = grant_[static_cast<std::size_t>(op)];
-    if (p < 0) continue;
-    const int v = nominee_[static_cast<std::size_t>(p)];
-    assert(v >= 0);
-    const int idx = p * num_vcs_ + v;
-    Router::InputVc& ivc = rt.input_vcs_[static_cast<std::size_t>(idx)];
-    Flit flit = ivc.buffer.Pop();
-    front_ready_[rec.vc_base + static_cast<std::uint32_t>(idx)] =
-        ivc.buffer.empty() ? kNeverCycle : ivc.buffer.Front().ready;
-    --rec.buffered;
-    --buffered_total_;
-    any_traversal = true;
-    ++rt.stats_.flits_forwarded;
-    if (rt.progress_sink_ != nullptr) ++*rt.progress_sink_;
-    rt.stats_.flits_out[static_cast<std::size_t>(op)]
-                       [static_cast<std::size_t>(ClassIndex(flit.cls))]++;
-    rt.epoch_flits_[static_cast<std::size_t>(op)]
-                   [static_cast<std::size_t>(ClassIndex(flit.cls))]++;
-    rt.epoch_dirty_ = true;
-
-    if (CreditChannel* cc = rt.credit_return_[static_cast<std::size_t>(p)]) {
-      cc->Push(Credit{static_cast<VcId>(v)}, now);
-    }
-
-    if (op < num_local_ports_) {
-      Nic* nic = rt.nics_[static_cast<std::size_t>(op)];
-      assert(nic != nullptr);
-      nic->AcceptEjectedFlit(flit, now);
-      if (rt.auditor_ != nullptr) rt.auditor_->OnFlitEjected(flit, now);
-    } else {
-      Router::OutputVc& ovc =
-          rt.output_vcs_[static_cast<std::size_t>(op * num_vcs_ + ivc.out_vc)];
-      assert(ovc.credits > 0);
-      --ovc.credits;
-      flit.vc = ivc.out_vc;
-      FlitChannel* channel = rt.out_channels_[static_cast<std::size_t>(op)];
-      assert(channel != nullptr);
-      channel->Push(flit, now);
-      if (rt.auditor_ != nullptr) {
-        const int link = rt.audit_out_[static_cast<std::size_t>(op)];
-        if (link >= 0) rt.auditor_->OnFlitSent(link, flit, now);
-      }
-      if (IsTail(flit)) ovc.tail_sent = true;
-    }
-
-    if (IsTail(flit)) {
-      ivc.route_valid = false;
-      ivc.out_vc = kInvalidVc;
-      ivc.eject = false;
-      ivc.vc_half = -1;
-    }
-  }
-  if (any_traversal) ++rt.stats_.busy_cycles;
-
-  rt.stats_.buffered_flit_cycles += rec.buffered;
 }
 
 bool SoaCore::NoFlitsInFlight() const {
@@ -407,6 +106,55 @@ bool SoaCore::NoFlitsInFlight() const {
     if (!nic->Idle()) return false;
   }
   return true;
+}
+
+void SoaCore::AuditCoverage(Auditor& auditor, Cycle now) const {
+  for (std::size_t i = 0; i < net_.routers_.size(); ++i) {
+    const Router& r = *net_.routers_[i];
+    if (r.BufferedFlits() != 0) continue;
+    std::size_t held = 0;
+    for (int p = 0; p < r.num_ports(); ++p) {
+      for (VcId v = 0; v < r.config().num_vcs; ++v) {
+        held += r.VcOccupancy(static_cast<Port>(p), v);
+      }
+    }
+    if (held != 0) {
+      auditor.ReportViolation(
+          AuditInvariant::kSchedulerCoverage, now,
+          "router " + std::to_string(i) + " holds " + std::to_string(held) +
+              " flits but its skip counter is zero");
+    }
+  }
+  const auto check_link = [&](const char* kind, std::size_t i, Cycle due,
+                              Cycle front) {
+    if (due > front) {
+      auditor.ReportViolation(
+          AuditInvariant::kSchedulerCoverage, now,
+          std::string(kind) + " link " + std::to_string(i) +
+              " has its front item due at " + std::to_string(front) +
+              " but the due plane says " + std::to_string(due));
+    }
+  };
+  for (std::size_t i = 0; i < flit_due_.size(); ++i) {
+    const FlitChannel& ch = net_.flit_links_[i]->channel;
+    if (!ch.empty()) check_link("flit", i, flit_due_[i], ch.FrontDue());
+  }
+  for (std::size_t i = 0; i < credit_due_.size(); ++i) {
+    const CreditChannel& ch = net_.credit_links_[i]->channel;
+    if (credit_router_bound_[i] != 0 && !ch.empty()) {
+      check_link("credit", i, credit_due_[i], ch.FrontDue());
+    }
+  }
+}
+
+bool SoaCore::PlantStaleSkipCounter() {
+  for (const auto& r : net_.routers_) {
+    if (r->buffered_ == 0) continue;
+    buffered_total_ -= r->buffered_;
+    r->buffered_ = 0;
+    return true;
+  }
+  return false;
 }
 
 }  // namespace gnoc

@@ -1,33 +1,20 @@
 // Structure-of-arrays scheduling backend (DESIGN.md §14).
 //
-// The dense (kFull) tick walks AoS Router objects: every phase re-scans
-// fat per-VC structs (an InputVc embeds its whole flit deque, so reading
-// one flag strides ~100 bytes) and heap-allocates fresh request/nominee/
-// grant vectors for every arbitration — ~15 allocations per router per
-// cycle. scheduling=soa keeps the objects authoritative but hoists the
-// *hot* state into contiguous per-network planes rebuilt once from the
-// Topology graph wiring:
+// scheduling=soa runs the dense (kFull) phase order — flit links, credit
+// links, routers, NICs, each in ascending canonical index — but skips the
+// components that cannot change state this cycle. It owns exactly two
+// things:
 //
-//   front_ready_[router:port:vc]  ready cycle of each input VC's head flit
-//                                 (kNeverCycle when the VC is empty), so
-//                                 RC/VA/SA eligibility is one u64 compare
-//                                 on a dense plane instead of a deque deref
-//   flit_due_[link]               delivery cycle of each flit channel's
-//   credit_due_[link]             front item (kNeverCycle when empty),
-//                                 maintained by the channel wake hooks, so
-//                                 the delivery passes skip idle links
-//   buffered_[router]             per-router flit occupancy (O(1) skip of
-//                                 workless routers and O(1) watchdog sums)
+//   flit_due_[link]    delivery cycle of each channel's front item
+//   credit_due_[link]  (kNeverCycle when empty), maintained by the channel
+//                      wake hooks, so the delivery passes skip idle links
 //
-// plus preallocated arbitration scratch shared by every router (all
-// routers of one network have the topology's radix). The tick replays the
-// dense phase order exactly — flit links, credit links, routers, NICs,
-// each in ascending canonical index — reusing the object arbiters, route
-// LUTs, VC policy and stats counters, so results are bit-identical to
-// full/active-set/event. Flit payloads, credits, arbiter matrices and NIC
-// cursors stay in the objects: Save/Load, the auditor and every
-// introspection API read live state, and the only checkpoint-boundary
-// conversion needed is RebuildFromObjects() after Network::Load.
+// and the router skip rule: a router with no buffered flits and no
+// uncommitted dynamic-epoch counts (Router::HasWork() == false) is not
+// ticked. Every router that is ticked runs Router::Tick, the one RC/VA/SA/ST
+// implementation, so a full-vs-soa comparison tests exactly these skip
+// rules. The planes are derived state: never serialized, rebuilt by
+// RebuildFromObjects() after Network::Load.
 #pragma once
 
 #include <cstdint>
@@ -37,24 +24,19 @@
 
 namespace gnoc {
 
+class Auditor;
 class Network;
-class Router;
 
-/// The per-input-VC / per-link sentinel for "empty" (no head flit, no
-/// in-flight item): later than any reachable cycle.
-inline constexpr Cycle kNeverCycle = ~Cycle{0};
-
-/// Contiguous hot-state planes plus preallocated arbitration scratch for
-/// one Network; drives the scheduling=soa tick path. Owned by the Network
-/// and wired at construction (installs the channel wake hooks that keep
-/// the due planes sound).
+/// Link due planes plus the router skip rule for one Network; drives the
+/// scheduling=soa tick path. Owned by the Network and wired at construction
+/// (installs the channel wake hooks that keep the due planes sound).
 class SoaCore {
  public:
   explicit SoaCore(Network& net);
 
   /// Re-derives every plane and counter from the authoritative object
-  /// state. Called at construction and after Network::Load — the
-  /// SoA<->object conversion at checkpoint boundaries (DESIGN.md §14).
+  /// state. Called at construction, after Network::Load and after fault
+  /// planting (which bypasses the wake hooks).
   void RebuildFromObjects();
 
   // --- one cycle, in dense tick order (Network::TickSoa) ---
@@ -66,8 +48,7 @@ class SoaCore {
   /// credit channels are popped by the NIC itself in its Tick, exactly as
   /// the dense path leaves them.
   void DeliverCreditLinks(Cycle now);
-  /// Phase 3: ticks every router with pending work in ascending index,
-  /// replicating Router::Tick over the planes with zero allocations.
+  /// Phase 3: Router::Tick on every router with work, in ascending index.
   void TickRouters(Cycle now);
 
   /// Component visits (links delivered + routers ticked) accumulated since
@@ -82,11 +63,23 @@ class SoaCore {
   /// buffered/channel counters whenever any flit exists, O(NICs) otherwise.
   bool NoFlitsInFlight() const;
 
-  /// Total flits buffered in router input VCs (plane counter; equals the
+  /// Total flits buffered in router input VCs (running counter; equals the
   /// sum of Router::BufferedFlits over all routers).
   std::size_t BufferedTotal() const {
     return static_cast<std::size_t>(buffered_total_);
   }
+
+  /// kSchedulerCoverage: reports every router holding flits whose skip
+  /// counter (Router::BufferedFlits) reads zero, and every non-empty
+  /// router-bound channel whose due plane entry is later than its front
+  /// item — each a lost wakeup that would freeze traffic silently.
+  void AuditCoverage(Auditor& auditor, Cycle now) const;
+
+  /// Zeroes the skip counter of the first router holding flits, leaving
+  /// its buffers alone — deliberately planting the lost-wakeup bug
+  /// AuditCoverage exists to catch (mutation tests only). Returns false
+  /// when no router holds flits.
+  bool PlantStaleSkipCounter();
 
  private:
   /// Wake-hook trampolines: every channel Push refreshes the link's due
@@ -94,51 +87,18 @@ class SoaCore {
   static void WakeFlitLink(void* ctx, std::size_t index);
   static void WakeCreditLink(void* ctx, std::size_t index);
 
-  /// Router::Tick over the planes: dynamic-epoch catch-up, recycle,
-  /// RC + VA, SA + ST, buffered-cycle accounting.
-  void TickRouter(std::size_t r, Cycle now);
-
-  /// Cached construction facts of one router.
-  struct RouterRec {
-    Router* router = nullptr;
-    std::uint32_t vc_base = 0;  ///< offset of its VCs in front_ready_
-    std::uint32_t buffered = 0;  ///< flits across its input VCs
-  };
-
   Network& net_;
-
-  // Per-network loop bounds (every router has the topology's radix).
-  int num_ports_ = 0;
-  int num_local_ports_ = 0;
-  int num_vcs_ = 0;
-  int total_vcs_ = 0;  ///< num_ports_ * num_vcs_
-  bool dynamic_policy_ = false;
-
-  std::vector<RouterRec> routers_;
-  std::vector<Cycle> front_ready_;  ///< [router][port][vc]
 
   // Link planes, in the Network's canonical link order.
   std::vector<Cycle> flit_due_;
   std::vector<Cycle> credit_due_;  ///< kNeverCycle pinned for NIC-bound
   std::vector<std::uint8_t> credit_router_bound_;
-  /// Destination plane offset of each flit link: front_ready_ index of
-  /// (dst_router, dst_port, vc=0); add flit.vc on delivery.
-  std::vector<std::uint32_t> flit_dst_base_;
-  std::vector<std::uint32_t> flit_dst_router_;
 
-  // Running occupancy counters (watchdog predicate, skip decisions).
+  // Running occupancy counters (watchdog predicate, Drain).
   std::uint64_t buffered_total_ = 0;
   std::uint64_t flits_in_channels_ = 0;
 
   std::uint64_t steps_ = 0;
-
-  // Preallocated arbitration scratch, reused by every router every cycle —
-  // the allocations the dense path pays per port per cycle.
-  std::vector<bool> va_requests_;   ///< total_vcs_
-  std::vector<bool> sa1_requests_;  ///< num_vcs_
-  std::vector<bool> sa2_requests_;  ///< num_ports_
-  std::vector<int> nominee_;        ///< num_ports_
-  std::vector<int> grant_;          ///< num_ports_
 };
 
 }  // namespace gnoc

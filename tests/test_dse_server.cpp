@@ -102,6 +102,20 @@ TEST(JobSpecTest, RejectsMalformedSpecs) {
       JobSpec::Parse(R"({"type": "search",
                          "space": {"routings": ["zigzag"]}})"),
       std::invalid_argument);
+  // So do the removed scheduling backends, with the valid choices, when
+  // the server builds the job's configurations.
+  for (const char* mode : {"active-set", "event"}) {
+    try {
+      const std::string spec =
+          std::string(R"({"type": "sweep", "base": {"scheduling": ")") +
+          mode + R"("}, "schemes": [{"label": "x"}]})";
+      JobSpec::Parse(spec).BuildSchemes();
+      ADD_FAILURE() << mode << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("full|soa"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 class DseServerTest : public ::testing::Test {
@@ -203,6 +217,29 @@ TEST_F(DseServerTest, BadSpecsCountAsFailures) {
   }
   EXPECT_EQ(Status("broken"), "failed");
   EXPECT_TRUE(fs::exists(Spool() + "/done/broken.json"));
+}
+
+// A spec nested far deeper than any real one used to overflow the
+// recursive parser's stack and crash the server on every restart. It must
+// fail like any other malformed spec: retired to done/ with status
+// "failed" and the parse error as the reason.
+TEST_F(DseServerTest, DeeplyNestedSpecFailsWithParseError) {
+  {
+    ServerOptions options;
+    options.spool = Spool();
+    options.once = true;
+    options.poll_ms = 10;
+    JobServer server(options);
+    server.Submit("poison", std::string(200000, '['));
+    EXPECT_EQ(server.Run(), 1);
+  }
+  EXPECT_EQ(Status("poison"), "failed");
+  EXPECT_TRUE(fs::exists(Spool() + "/done/poison.json"));
+  const JsonValue status =
+      JsonValue::Parse(ReadFile(Spool() + "/status/poison.json"));
+  EXPECT_NE(status.At("error").AsString().find("nesting deeper than"),
+            std::string::npos)
+      << status.At("error").AsString();
 }
 
 TEST_F(DseServerTest, OrphanedRunningSpecsAreReAdopted) {

@@ -142,5 +142,28 @@ TEST(JsonValueTest, AsObjectThrowsOnNonObjects) {
   EXPECT_TRUE(JsonValue::Parse("{}").AsObject().empty());
 }
 
+TEST(JsonValueTest, RejectsNestingBeyondTheDepthLimit) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(JsonValue::Parse(nested(kJsonMaxDepth)));
+  try {
+    JsonValue::Parse(nested(kJsonMaxDepth + 1));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+  // Objects count too, and an unterminated hostile document fails on depth
+  // long before it could exhaust the stack.
+  EXPECT_THROW(JsonValue::Parse(std::string(200000, '[')),
+               std::invalid_argument);
+  std::string objects;
+  for (int i = 0; i <= kJsonMaxDepth; ++i) objects += "{\"k\":";
+  EXPECT_THROW(JsonValue::Parse(objects), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace gnoc

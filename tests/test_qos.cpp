@@ -434,25 +434,21 @@ std::string QosFingerprint(QosArbitration arb, SchedulingMode mode) {
   return out.str();
 }
 
-// Strict and WRR arbitration must give bit-identical results on all four
-// scheduling backends — the QosArbitrate helper is shared between the
-// object router and the SoA core precisely so they cannot drift.
-TEST(QosSchedulingBitIdentityTest, FourWayMatchesFullMode) {
+// Strict and WRR arbitration must give bit-identical results under both
+// scheduling backends: they share Router::Tick, so only the soa skip rules
+// could make them drift.
+TEST(QosSchedulingBitIdentityTest, SoaMatchesFullMode) {
   for (QosArbitration arb :
        {QosArbitration::kStrict, QosArbitration::kWrr}) {
-    const std::string full = QosFingerprint(arb, SchedulingMode::kFull);
-    EXPECT_EQ(full, QosFingerprint(arb, SchedulingMode::kActiveSet))
-        << "active-set diverged (arb=" << QosArbitrationName(arb) << ")";
-    EXPECT_EQ(full, QosFingerprint(arb, SchedulingMode::kEvent))
-        << "event diverged (arb=" << QosArbitrationName(arb) << ")";
-    EXPECT_EQ(full, QosFingerprint(arb, SchedulingMode::kSoa))
+    EXPECT_EQ(QosFingerprint(arb, SchedulingMode::kFull),
+              QosFingerprint(arb, SchedulingMode::kSoa))
         << "soa diverged (arb=" << QosArbitrationName(arb) << ")";
   }
 }
 
 // The unified run report of a QoS-enabled GPU run carries the class
-// identities and agrees with the deprecated per-subsystem shims.
-TEST(RunReportTest, UnifiedCollectorAgreesWithShims) {
+// identities and agrees with the per-network accessors it merges.
+TEST(RunReportTest, UnifiedCollectorAgreesWithNetworkAccessors) {
   GpuConfig cfg = GpuConfig::Baseline();
   cfg.width = 4;
   cfg.height = 4;
@@ -476,8 +472,10 @@ TEST(RunReportTest, UnifiedCollectorAgreesWithShims) {
   EXPECT_GT(stats.qos.classes[0].packets_delivered, 0u);
 
   const RunReport report = gpu.fabric().CollectRunReport();
-  const AuditReport audit = gpu.fabric().CollectAuditReport();
-  const TelemetryReport telemetry = gpu.fabric().CollectTelemetry();
+  const Network& net = gpu.fabric().net(TrafficClass::kRequest);
+  const AuditReport audit = net.AuditResults();
+  const TelemetryReport telemetry = net.TelemetryResults();
+  EXPECT_GT(report.audit.checks, 0u);
   EXPECT_EQ(report.audit.checks, audit.checks);
   EXPECT_EQ(report.audit.violations, audit.violations);
   EXPECT_EQ(report.telemetry.sampled_until, telemetry.sampled_until);

@@ -1,15 +1,19 @@
-// Tests of active-set and event scheduling: bit-identical results vs
-// full-tick mode across the design space, O(active) cost on idle networks,
-// deadlock watchdog parity, scheduler-coverage auditing, snapshot/resume
-// under event scheduling, and the route-LUT fast path agreeing with the
-// analytic routing function.
+// Tests of the two scheduling modes: name parsing (and clean failure for
+// removed modes on every input surface), full-vs-soa bit identity across
+// the design space, the soa skip rule's cost claim, watchdog state across a
+// snapshot, scheduler-coverage auditing, and the route-LUT fast path
+// agreeing with the analytic routing function.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "bench_util.hpp"
+#include "common/cli.hpp"
+#include "common/config.hpp"
 #include "common/serialize.hpp"
 #include "noc/audit.hpp"
 #include "noc/network.hpp"
@@ -18,6 +22,7 @@
 #include "noc/traffic.hpp"
 #include "noc/vc_policy.hpp"
 #include "sim/experiment.hpp"
+#include "sim/gpu_config.hpp"
 #include "sim/gpu_system.hpp"
 
 namespace gnoc {
@@ -27,17 +32,74 @@ namespace {
 
 TEST(SchedulingModeTest, NamesRoundTrip) {
   EXPECT_STREQ(SchedulingModeName(SchedulingMode::kFull), "full");
-  EXPECT_STREQ(SchedulingModeName(SchedulingMode::kActiveSet), "active-set");
-  EXPECT_STREQ(SchedulingModeName(SchedulingMode::kEvent), "event");
+  EXPECT_STREQ(SchedulingModeName(SchedulingMode::kSoa), "soa");
   EXPECT_EQ(ParseSchedulingMode("full"), SchedulingMode::kFull);
-  EXPECT_EQ(ParseSchedulingMode("active-set"), SchedulingMode::kActiveSet);
-  EXPECT_EQ(ParseSchedulingMode("ACTIVE"), SchedulingMode::kActiveSet);
-  EXPECT_EQ(ParseSchedulingMode("event"), SchedulingMode::kEvent);
-  EXPECT_EQ(ParseSchedulingMode("EVENT"), SchedulingMode::kEvent);
-  EXPECT_THROW(ParseSchedulingMode("lazy"), std::invalid_argument);
+  EXPECT_EQ(ParseSchedulingMode("FULL"), SchedulingMode::kFull);
+  EXPECT_EQ(ParseSchedulingMode("soa"), SchedulingMode::kSoa);
+  // Unknown and removed names are rejected with the valid choices.
+  for (const char* name : {"lazy", "active-set", "active", "event"}) {
+    try {
+      ParseSchedulingMode(name);
+      ADD_FAILURE() << name << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("full|soa"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
-// A zero dynamic epoch would spin the router/NIC boundary catch-up loops
+/// Parses `tokens` through `flags`; returns the CliError message, or ""
+/// when parsing succeeded.
+std::string CliFailure(FlagSet& flags, const std::vector<std::string>& tokens) {
+  std::vector<const char*> argv{"prog"};
+  for (const std::string& t : tokens) argv.push_back(t.c_str());
+  try {
+    flags.Parse(static_cast<int>(argv.size()), argv.data());
+  } catch (const CliError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The removed backends and the removed batch= flag must fail with a typed
+// error on every input surface: the sweep harness flags, the GpuConfig
+// override keys (config files, job-spec "config" blocks) and the GpuConfig
+// flag set. A job spec naming them fails the same way (test_dse_server).
+TEST(SchedulingModeTest, RemovedModesFailOnEveryInputSurface) {
+  for (const char* mode : {"active-set", "event"}) {
+    const std::string token = std::string("scheduling=") + mode;
+
+    FlagSet sweep_flags("bench", "sweep harness");
+    bench::RegisterSweepFlags(sweep_flags);
+    const std::string bench_error = CliFailure(sweep_flags, {token});
+    EXPECT_NE(bench_error.find("full|soa"), std::string::npos) << bench_error;
+
+    FlagSet config_flags("prog", "full configuration surface");
+    RegisterGpuConfigFlags(config_flags);
+    const std::string config_error = CliFailure(config_flags, {token});
+    EXPECT_NE(config_error.find("full|soa"), std::string::npos)
+        << config_error;
+
+    Config overrides;
+    overrides.Set("scheduling", mode);
+    GpuConfig cfg = GpuConfig::Baseline();
+    try {
+      cfg.ApplyOverrides(overrides);
+      ADD_FAILURE() << mode << " applied";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("full|soa"), std::string::npos)
+          << e.what();
+    }
+  }
+  FlagSet sweep_flags("bench", "sweep harness");
+  bench::RegisterSweepFlags(sweep_flags);
+  const std::string batch_error = CliFailure(sweep_flags, {"batch=4"});
+  EXPECT_NE(batch_error.find("unknown flag 'batch'"), std::string::npos)
+      << batch_error;
+  EXPECT_EQ(CliFailure(sweep_flags, {"scheduling=soa"}), "");
+}
+
+// A zero dynamic epoch would spin the router's boundary catch-up loop
 // forever; the network must refuse it up front with an actionable error.
 TEST(SchedulingModeTest, RejectsZeroDynamicEpoch) {
   NetworkConfig cfg;
@@ -99,9 +161,9 @@ std::string NetworkFingerprint(NetworkConfig cfg, SchedulingMode mode,
   return out.str();
 }
 
-// kFull, kActiveSet and kEvent must agree bit-for-bit — stats, audit
-// counters and telemetry windows — for every routing x VC-policy
-// combination, with the auditor and telemetry sampler running in all modes.
+// kFull and kSoa must agree bit-for-bit — stats, audit counters and
+// telemetry windows — for every routing x VC-policy combination, with the
+// auditor (including the soa coverage sweep) and telemetry running.
 TEST(SchedulingBitIdentityTest, OpenLoopMatrixMatchesFullMode) {
   const RoutingAlgorithm routings[] = {
       RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kXYYX};
@@ -120,57 +182,31 @@ TEST(SchedulingBitIdentityTest, OpenLoopMatrixMatchesFullMode) {
       cfg.dynamic_epoch = 64;
       const std::string label =
           std::string(RoutingName(routing)) + "/" + VcPolicyName(policy);
-      const std::string full =
-          NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1);
-      const std::string active =
-          NetworkFingerprint(cfg, SchedulingMode::kActiveSet, 0.1);
-      const std::string event =
-          NetworkFingerprint(cfg, SchedulingMode::kEvent, 0.1);
-      EXPECT_EQ(full, active) << label;
-      EXPECT_EQ(full, event) << label;
+      EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1),
+                NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.1))
+          << label;
     }
   }
 }
 
-// The equivalence must also hold on the non-mesh topologies, whose extra
-// wrap links and concentration change the wake-site graph.
-TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
-  const TopologyKind topologies[] = {TopologyKind::kTorus,
-                                     TopologyKind::kCMesh,
-                                     TopologyKind::kCirculant};
-  for (TopologyKind topology : topologies) {
-    NetworkConfig cfg;
-    cfg.topology = topology;
-    cfg.width = 4;
-    cfg.height = 4;
-    cfg.num_vcs = 4;
-    cfg.vc_depth = 4;
-    const std::string label = TopologyName(topology);
-    const std::string full = NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1);
-    const std::string active =
-        NetworkFingerprint(cfg, SchedulingMode::kActiveSet, 0.1);
-    const std::string event =
-        NetworkFingerprint(cfg, SchedulingMode::kEvent, 0.1);
-    EXPECT_EQ(full, active) << label;
-    EXPECT_EQ(full, event) << label;
-  }
-}
-
-// The equivalence must also hold near saturation, where almost everything
-// is active and the sweeps exercise mid-cycle re-wake paths.
+// Near saturation with shallow buffers, both arbiter microarchitectures
+// and both VC-reallocation rules: the credit-stall, VA-failure and
+// non-atomic recycle paths the default configuration rarely takes.
 TEST(SchedulingBitIdentityTest, HighLoadMatchesFullMode) {
-  NetworkConfig cfg;
-  cfg.width = 4;
-  cfg.height = 4;
-  cfg.num_vcs = 4;
-  cfg.vc_depth = 4;
-  const std::string full = NetworkFingerprint(cfg, SchedulingMode::kFull, 0.4);
-  const std::string active =
-      NetworkFingerprint(cfg, SchedulingMode::kActiveSet, 0.4);
-  const std::string event =
-      NetworkFingerprint(cfg, SchedulingMode::kEvent, 0.4);
-  EXPECT_EQ(full, active);
-  EXPECT_EQ(full, event);
+  for (ArbiterKind arbiter : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
+    for (bool atomic : {true, false}) {
+      NetworkConfig cfg;
+      cfg.width = 4;
+      cfg.height = 4;
+      cfg.num_vcs = 4;
+      cfg.vc_depth = 2;
+      cfg.arbiter = arbiter;
+      cfg.atomic_vc_realloc = atomic;
+      EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.4),
+                NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.4))
+          << ArbiterKindName(arbiter) << " atomic=" << atomic;
+    }
+  }
 }
 
 // --- bit identity, full GPU model ------------------------------------------
@@ -209,51 +245,57 @@ void ExpectRunsEqual(const GpuRunStats& a, const GpuRunStats& b,
   EXPECT_EQ(ta.str(), tb.str()) << label;
 }
 
-// Every deadlock-safe VC policy x routing x placement combination of the
-// full GPU model must produce identical results under both schedulers,
-// with the auditor and telemetry enabled.
+/// Runs `cfg` on BFS under full and soa scheduling and compares the runs.
+void ExpectGpuSoaMatchesFull(GpuConfig cfg, const std::string& label) {
+  cfg.audit = true;
+  cfg.audit_interval = 8;
+  cfg.telemetry = true;
+  cfg.telemetry_interval = 100;
+  cfg.scheduling = SchedulingMode::kFull;
+  GpuSystem full(cfg, FindWorkload("BFS"));
+  const GpuRunStats a = full.Run(/*warmup=*/100, /*measure=*/300);
+  cfg.scheduling = SchedulingMode::kSoa;
+  GpuSystem soa(cfg, FindWorkload("BFS"));
+  const GpuRunStats b = soa.Run(/*warmup=*/100, /*measure=*/300);
+  ExpectRunsEqual(a, b, label);
+}
+
+// The full GPU model on the non-mesh topologies: wrap links with dateline
+// VC halves, concentrated routers with four local ports, circulant chords.
+TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
+  for (TopologyKind topology : {TopologyKind::kTorus, TopologyKind::kCMesh,
+                                TopologyKind::kCirculant}) {
+    GpuConfig cfg = GpuConfig::Baseline();
+    cfg.topology = topology;
+    cfg.num_vcs = 4;
+    ExpectGpuSoaMatchesFull(cfg, TopologyName(topology));
+  }
+}
+
+// Two physical networks (one per class), each with its own SoA core, for
+// every placement x routing combination that is deadlock-safe.
 TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
-  const VcPolicyKind policies[] = {
-      VcPolicyKind::kSplit, VcPolicyKind::kFullMonopolize,
-      VcPolicyKind::kPartialMonopolize, VcPolicyKind::kAsymmetric,
-      VcPolicyKind::kDynamic};
   const RoutingAlgorithm routings[] = {
       RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kXYYX};
   int compared = 0;
   for (McPlacement placement : kAllPlacements) {
     for (RoutingAlgorithm routing : routings) {
-      for (VcPolicyKind policy : policies) {
-        GpuConfig cfg = GpuConfig::Baseline();
-        cfg.placement = placement;
-        cfg.routing = routing;
-        cfg.vc_policy = policy;
-        cfg.audit = true;
-        cfg.audit_interval = 8;
-        cfg.telemetry = true;
-        cfg.telemetry_interval = 100;
-        const std::string label = std::string(McPlacementName(placement)) +
-                                  "/" + RoutingName(routing) + "/" +
-                                  VcPolicyName(policy);
-        try {
-          cfg.scheduling = SchedulingMode::kFull;
-          GpuSystem full(cfg, FindWorkload("BFS"));
-          const GpuRunStats a = full.Run(/*warmup=*/100, /*measure=*/300);
-          cfg.scheduling = SchedulingMode::kActiveSet;
-          GpuSystem active(cfg, FindWorkload("BFS"));
-          const GpuRunStats b = active.Run(/*warmup=*/100, /*measure=*/300);
-          ExpectRunsEqual(a, b, label);
-          cfg.scheduling = SchedulingMode::kEvent;
-          GpuSystem event(cfg, FindWorkload("BFS"));
-          const GpuRunStats c = event.Run(/*warmup=*/100, /*measure=*/300);
-          ExpectRunsEqual(a, c, label + " (event)");
-          ++compared;
-        } catch (const std::invalid_argument&) {
-          // Deadlock-unsafe combination: correctly refused up front.
-        }
+      GpuConfig cfg = GpuConfig::Baseline();
+      cfg.division = NetworkDivision::kPhysical;
+      cfg.num_vcs = 4;
+      cfg.placement = placement;
+      cfg.routing = routing;
+      const std::string label = std::string(McPlacementName(placement)) +
+                                "/" + RoutingName(routing) + " (dual)";
+      try {
+        ExpectGpuSoaMatchesFull(cfg, label);
+        ++compared;
+      } catch (const std::invalid_argument&) {
+        // Deadlock-unsafe combination: correctly refused up front.
       }
     }
   }
-  EXPECT_GE(compared, 12) << "design space unexpectedly small";
+  EXPECT_GE(compared, 6) << "design space unexpectedly small";
 }
 
 // The sweep engine forwards its scheduling override into every cell.
@@ -262,48 +304,20 @@ TEST(SchedulingBitIdentityTest, SweepOverrideMatchesFullMode) {
   SweepOptions opts;
   opts.lengths = RunLengths{100, 500};
   opts.threads = 1;
-  opts.scheduling = SchedulingMode::kActiveSet;
-  const SweepResult active =
-      RunSweep({scheme}, {FindWorkload("KMN")}, opts);
-  opts.scheduling = SchedulingMode::kEvent;
-  const SweepResult event = RunSweep({scheme}, {FindWorkload("KMN")}, opts);
+  opts.scheduling = SchedulingMode::kSoa;
+  const SweepResult soa = RunSweep({scheme}, {FindWorkload("KMN")}, opts);
   opts.scheduling = SchedulingMode::kFull;
   const SweepResult full = RunSweep({scheme}, {FindWorkload("KMN")}, opts);
-  ExpectRunsEqual(full.Get("baseline", "KMN"), active.Get("baseline", "KMN"),
+  ExpectRunsEqual(full.Get("baseline", "KMN"), soa.Get("baseline", "KMN"),
                   "sweep override");
-  ExpectRunsEqual(full.Get("baseline", "KMN"), event.Get("baseline", "KMN"),
-                  "sweep override (event)");
 }
 
-// --- O(active) cost --------------------------------------------------------
+// --- skip-rule cost --------------------------------------------------------
 
-// An idle network must cost nothing per cycle beyond the empty dirty-list
-// sweeps: the component step counter stays at zero.
-TEST(SchedulingCostTest, IdleNetworkTicksNoComponents) {
-  NetworkConfig cfg;
-  cfg.scheduling = SchedulingMode::kActiveSet;
-  Network net(cfg);
-  for (int c = 0; c < 1000; ++c) net.Tick();
-  EXPECT_EQ(net.TickSteps(), 0u);
-
-  // Event mode schedules zero wakes on an idle 8x8 network: time advances
-  // without a single component tick.
-  cfg.scheduling = SchedulingMode::kEvent;
-  Network event(cfg);
-  for (int c = 0; c < 1000; ++c) event.Tick();
-  EXPECT_EQ(event.TickSteps(), 0u);
-  EXPECT_EQ(event.now(), 1000u);
-
-  cfg.scheduling = SchedulingMode::kFull;
-  Network full(cfg);
-  for (int c = 0; c < 1000; ++c) full.Tick();
-  // Full mode visits every router, NIC and channel every cycle.
-  EXPECT_GE(full.TickSteps(), 1000u * 128u);
-}
-
-// A single packet wakes only the components on its path; the step count
-// stays far below the full-tick bill for the same run.
-std::uint64_t SparseTrafficSteps(SchedulingMode mode) {
+// A single packet keeps only the routers and links on its path busy; soa
+// skips the rest, so its step count stays far below the full-tick bill for
+// the same run (which visits every router, NIC and link every cycle).
+std::uint64_t SparseTrafficSteps(SchedulingMode mode, Cycle* cycles) {
   NetworkConfig cfg;
   cfg.scheduling = mode;
   Network net(cfg);
@@ -318,137 +332,105 @@ std::uint64_t SparseTrafficSteps(SchedulingMode mode) {
   p.num_flits = 2;
   EXPECT_TRUE(net.Inject(p));
   EXPECT_TRUE(net.Drain(1000));
-  const std::uint64_t steps = net.TickSteps();
-  EXPECT_GT(steps, 0u);
-  // Full mode would have stepped all ~384 components x ~30+ cycles.
-  EXPECT_LT(steps, net.now() * 128u / 4u);
-  return steps;
+  *cycles = net.now();
+  return net.TickSteps();
 }
 
 TEST(SchedulingCostTest, SparseTrafficTicksFewComponents) {
-  const std::uint64_t active_steps =
-      SparseTrafficSteps(SchedulingMode::kActiveSet);
-  // Event mode only visits components at their scheduled wakes, so it never
-  // does more work than the dirty-list sweep on the same traffic.
-  const std::uint64_t event_steps =
-      SparseTrafficSteps(SchedulingMode::kEvent);
-  EXPECT_LE(event_steps, active_steps);
+  Cycle full_cycles = 0;
+  Cycle soa_cycles = 0;
+  const std::uint64_t full =
+      SparseTrafficSteps(SchedulingMode::kFull, &full_cycles);
+  const std::uint64_t soa =
+      SparseTrafficSteps(SchedulingMode::kSoa, &soa_cycles);
+  EXPECT_EQ(full_cycles, soa_cycles);
+  // soa ticks the 64 NICs every cycle plus only the handful of routers and
+  // links on the packet's path.
+  EXPECT_GE(soa, soa_cycles * 64u);
+  EXPECT_LT(soa, soa_cycles * 64u + soa_cycles * 8u);
+  EXPECT_LT(soa * 4u, full);
 }
 
-// --- watchdog parity -------------------------------------------------------
+// --- watchdog across a snapshot --------------------------------------------
 
-// A sink that never accepts wedges the network; the watchdog must fire in
-// active-set mode too (all components asleep + flits in flight is exactly
-// the case a naive active-set watchdog would miss), and at the same cycle
-// as in full mode.
-Cycle DeadlockCycle(SchedulingMode mode) {
-  NetworkConfig cfg;
-  cfg.width = 4;
-  cfg.height = 4;
-  cfg.deadlock_threshold = 200;
-  cfg.scheduling = mode;
-  Network net(cfg);
-  struct RefusingSink : PacketSink {
-    bool Accept(const Packet&, Cycle) override { return false; }
-  } sink;
-  for (NodeId n = 0; n < net.num_nodes(); ++n) net.SetSink(n, &sink);
-  Packet p;
-  p.src = 0;
-  p.dst = 15;
-  p.type = PacketType::kReadRequest;
-  p.num_flits = 3;
-  EXPECT_TRUE(net.Inject(p));
-  for (int c = 0; c < 2000; ++c) {
-    net.Tick();
-    if (net.Deadlocked()) return net.now();
-  }
-  return 0;  // never fired
-}
-
-TEST(SchedulingWatchdogTest, FiresUnderActiveSetAtTheSameCycle) {
-  const Cycle full = DeadlockCycle(SchedulingMode::kFull);
-  const Cycle active = DeadlockCycle(SchedulingMode::kActiveSet);
-  ASSERT_GT(full, 0u) << "watchdog never fired in full mode";
-  EXPECT_EQ(full, active);
-}
-
-TEST(SchedulingWatchdogTest, FiresUnderEventAtTheSameCycle) {
-  const Cycle full = DeadlockCycle(SchedulingMode::kFull);
-  const Cycle event = DeadlockCycle(SchedulingMode::kEvent);
-  ASSERT_GT(full, 0u) << "watchdog never fired in full mode";
-  EXPECT_EQ(full, event);
-}
-
-// Satellite regression (ISSUE 7): a snapshot taken mid-stall must restore
-// the watchdog's baseline exactly, so a resumed run neither trips a
-// spurious deadlock (baseline too old) nor masks the real one (baseline
-// reset to the restore cycle). The resumed network must declare deadlock
-// at the same cycle as the uninterrupted run.
+// A snapshot taken mid-stall must restore the watchdog's baseline exactly,
+// so a resumed run neither trips a spurious deadlock (baseline too old) nor
+// masks the real one (baseline reset to the restore cycle). The resumed
+// network must declare deadlock at the same cycle as the uninterrupted run,
+// under both scheduling modes.
 TEST(SchedulingWatchdogTest, CheckpointMidStallKeepsDeadlockCycle) {
-  const auto make_net = [](auto& sink) {
-    NetworkConfig cfg;
-    cfg.width = 4;
-    cfg.height = 4;
-    cfg.deadlock_threshold = 200;
-    auto net = std::make_unique<Network>(cfg);
-    for (NodeId n = 0; n < net->num_nodes(); ++n) net->SetSink(n, &sink);
-    return net;
-  };
   struct RefusingSink : PacketSink {
     bool Accept(const Packet&, Cycle) override { return false; }
   } sink;
+  for (SchedulingMode mode : {SchedulingMode::kFull, SchedulingMode::kSoa}) {
+    const auto make_net = [&] {
+      NetworkConfig cfg;
+      cfg.width = 4;
+      cfg.height = 4;
+      cfg.deadlock_threshold = 200;
+      cfg.scheduling = mode;
+      auto net = std::make_unique<Network>(cfg);
+      for (NodeId n = 0; n < net->num_nodes(); ++n) net->SetSink(n, &sink);
+      return net;
+    };
+    const std::string label = SchedulingModeName(mode);
 
-  auto reference = make_net(sink);
-  Packet p;
-  p.src = 0;
-  p.dst = 15;
-  p.type = PacketType::kReadRequest;
-  p.num_flits = 3;
-  ASSERT_TRUE(reference->Inject(p));
-  Cycle uninterrupted = 0;
-  Serializer snap;
-  for (int c = 0; c < 2000; ++c) {
-    // Snapshot 120 cycles into the stall — past the last progress event,
-    // well before the threshold fires.
-    if (reference->now() == 120) reference->Save(snap);
-    reference->Tick();
-    if (reference->Deadlocked()) {
-      uninterrupted = reference->now();
-      break;
+    auto reference = make_net();
+    Packet p;
+    p.src = 0;
+    p.dst = 15;
+    p.type = PacketType::kReadRequest;
+    p.num_flits = 3;
+    ASSERT_TRUE(reference->Inject(p));
+    Cycle uninterrupted = 0;
+    Serializer snap;
+    for (int c = 0; c < 2000; ++c) {
+      // Snapshot 120 cycles into the stall — past the last progress event,
+      // well before the threshold fires.
+      if (reference->now() == 120) reference->Save(snap);
+      reference->Tick();
+      if (reference->Deadlocked()) {
+        uninterrupted = reference->now();
+        break;
+      }
     }
-  }
-  ASSERT_GT(uninterrupted, 0u) << "watchdog never fired uninterrupted";
+    ASSERT_GT(uninterrupted, 0u) << label << ": watchdog never fired";
 
-  auto resumed = make_net(sink);
-  Deserializer d(snap.bytes());
-  resumed->Load(d);
-  d.Finish();
-  EXPECT_FALSE(resumed->Deadlocked()) << "spurious deadlock on restore";
-  Cycle after_resume = 0;
-  for (int c = 0; c < 2000; ++c) {
-    resumed->Tick();
-    if (resumed->Deadlocked()) {
-      after_resume = resumed->now();
-      break;
+    auto resumed = make_net();
+    Deserializer d(snap.bytes());
+    resumed->Load(d);
+    d.Finish();
+    EXPECT_FALSE(resumed->Deadlocked()) << label << ": spurious deadlock";
+    Cycle after_resume = 0;
+    for (int c = 0; c < 2000; ++c) {
+      resumed->Tick();
+      if (resumed->Deadlocked()) {
+        after_resume = resumed->now();
+        break;
+      }
     }
+    ASSERT_GT(after_resume, 0u) << label << ": restore masked the deadlock";
+    EXPECT_EQ(after_resume, uninterrupted) << label;
   }
-  ASSERT_GT(after_resume, 0u) << "restore masked the real deadlock";
-  EXPECT_EQ(after_resume, uninterrupted);
 }
 
 // --- scheduler-coverage invariant ------------------------------------------
 
-// Knocking every component off the scheduler (dirty lists or event queue)
-// while flits are in flight is a scheduler bug by construction; the
-// auditor's coverage sweep must report it in both skipping modes.
-void ExpectForceSleepTripsCoverage(SchedulingMode mode) {
+NetworkConfig CoverageConfig() {
   NetworkConfig cfg;
   cfg.width = 4;
   cfg.height = 4;
-  cfg.scheduling = mode;
+  cfg.scheduling = SchedulingMode::kSoa;
   cfg.audit = true;
   cfg.audit_interval = 1;
-  Network net(cfg);
+  return cfg;
+}
+
+// A router holding flits whose skip counter reads zero is never ticked
+// again — a lost wakeup by construction. The auditor's coverage sweep must
+// report it.
+TEST(SchedulingCoverageTest, ForceSleepTripsCoverageInvariant) {
+  Network net(CoverageConfig());
   struct Sink : PacketSink {
     bool Accept(const Packet&, Cycle) override { return true; }
   } sink;
@@ -460,38 +442,31 @@ void ExpectForceSleepTripsCoverage(SchedulingMode mode) {
   p.num_flits = 4;
   ASSERT_TRUE(net.Inject(p));
   for (int c = 0; c < 4; ++c) net.Tick();
-  ASSERT_GT(net.FlitsInFlight(), 0u);
-  net.ForceSleepAll();
-  for (int c = 0; c < 4; ++c) net.Tick();
+  ASSERT_TRUE(net.PlantStaleSkipCounter()) << "no router holds flits";
+  net.Tick();
   const AuditReport r = net.AuditResults();
-  EXPECT_GT(
-      r.by_invariant[static_cast<std::size_t>(
-          AuditInvariant::kSchedulerCoverage)],
-      0u)
-      << SchedulingModeName(mode);
-  EXPECT_FALSE(r.clean()) << SchedulingModeName(mode);
+  EXPECT_GT(r.by_invariant[static_cast<std::size_t>(
+                AuditInvariant::kSchedulerCoverage)],
+            0u);
+  EXPECT_FALSE(r.clean());
+  ASSERT_FALSE(r.samples.empty());
+  EXPECT_NE(r.samples[0].detail.find("skip counter is zero"),
+            std::string::npos)
+      << r.samples[0].detail;
   EXPECT_STREQ(AuditInvariantName(AuditInvariant::kSchedulerCoverage),
                "scheduler-coverage");
+
+  // The hook is soa-only: full scheduling has no skip counters to desync.
+  NetworkConfig full_cfg = CoverageConfig();
+  full_cfg.scheduling = SchedulingMode::kFull;
+  Network full(full_cfg);
+  EXPECT_FALSE(full.PlantStaleSkipCounter());
 }
 
-TEST(SchedulingCoverageTest, ForceSleepTripsCoverageInvariant) {
-  ExpectForceSleepTripsCoverage(SchedulingMode::kActiveSet);
-}
-
-TEST(SchedulingCoverageTest, ForceSleepTripsCoverageInvariantUnderEvent) {
-  ExpectForceSleepTripsCoverage(SchedulingMode::kEvent);
-}
-
-// A clean run must never trip the coverage invariant: every wake hook is
-// in place, so the sweep finds nothing untracked.
-void ExpectCleanRunHasFullCoverage(SchedulingMode mode) {
-  NetworkConfig cfg;
-  cfg.width = 4;
-  cfg.height = 4;
-  cfg.scheduling = mode;
-  cfg.audit = true;
-  cfg.audit_interval = 1;
-  Network net(cfg);
+// A clean run must never trip the coverage invariant: every push refreshes
+// the due planes and every buffered flit is counted.
+TEST(SchedulingCoverageTest, CleanRunHasFullCoverage) {
+  Network net(CoverageConfig());
   OpenLoopConfig tcfg;
   tcfg.pattern = TrafficPattern::kUniformRandom;
   tcfg.injection_rate = 0.2;
@@ -503,84 +478,8 @@ void ExpectCleanRunHasFullCoverage(SchedulingMode mode) {
   }
   ASSERT_TRUE(net.Drain(10000));
   const AuditReport r = net.AuditResults();
-  EXPECT_TRUE(r.clean())
-      << SchedulingModeName(mode) << ": "
-      << (r.samples.empty() ? std::string() : r.samples[0].detail);
-}
-
-TEST(SchedulingCoverageTest, CleanRunHasFullCoverage) {
-  ExpectCleanRunHasFullCoverage(SchedulingMode::kActiveSet);
-}
-
-TEST(SchedulingCoverageTest, CleanRunHasFullCoverageUnderEvent) {
-  ExpectCleanRunHasFullCoverage(SchedulingMode::kEvent);
-}
-
-// --- snapshot/resume under event scheduling --------------------------------
-
-// Saving mid-run and restoring into a fresh event-mode network must resume
-// bit-identically: the event queue (heap order included) round-trips, so
-// the resumed run's serialized state equals the uninterrupted run's.
-TEST(SchedulingSnapshotTest, EventModeResumesBitIdentically) {
-  NetworkConfig cfg;
-  cfg.width = 4;
-  cfg.height = 4;
-  cfg.num_vcs = 4;
-  cfg.vc_depth = 4;
-  cfg.vc_policy = VcPolicyKind::kDynamic;
-  cfg.dynamic_epoch = 64;
-  cfg.scheduling = SchedulingMode::kEvent;
-
-  struct Sink : PacketSink {
-    bool Accept(const Packet&, Cycle) override { return true; }
-  } sink;
-  const auto make_net = [&] {
-    auto net = std::make_unique<Network>(cfg);
-    for (NodeId n = 0; n < net->num_nodes(); ++n) net->SetSink(n, &sink);
-    return net;
-  };
-  // Deterministic all-to-all burst: plenty of contention mid-flight.
-  const auto inject_burst = [](Network& net) {
-    for (NodeId n = 0; n < net.num_nodes(); ++n) {
-      Packet p;
-      p.src = n;
-      p.dst = net.num_nodes() - 1 - n;
-      if (p.dst == p.src) continue;
-      p.type = PacketType::kReadRequest;
-      p.num_flits = 4;
-      ASSERT_TRUE(net.Inject(p));
-    }
-  };
-  const auto fingerprint = [](Network& net) {
-    Serializer out;
-    net.Save(out);
-    return out.TakeBytes();
-  };
-
-  // Uninterrupted run: burst, then 500 cycles (drains and then idles over
-  // several dynamic-epoch boundaries).
-  auto plain = make_net();
-  inject_burst(*plain);
-  for (int c = 0; c < 500; ++c) plain->Tick();
-
-  // Interrupted run: snapshot at cycle 10 while flits are in flight,
-  // restore into a fresh network, replay the remaining cycles.
-  auto first = make_net();
-  inject_burst(*first);
-  for (int c = 0; c < 10; ++c) first->Tick();
-  ASSERT_GT(first->FlitsInFlight(), 0u) << "snapshot caught an idle instant";
-  Serializer s;
-  first->Save(s);
-
-  auto second = make_net();
-  Deserializer d(s.bytes());
-  second->Load(d);
-  d.Finish();
-  EXPECT_GT(second->FlitsInFlight(), 0u);
-  for (int c = 0; c < 490; ++c) second->Tick();
-
-  EXPECT_EQ(fingerprint(*plain), fingerprint(*second));
-  EXPECT_EQ(plain->TickSteps(), second->TickSteps());
+  EXPECT_TRUE(r.clean()) << (r.samples.empty() ? std::string()
+                                                : r.samples[0].detail);
 }
 
 // --- route LUT -------------------------------------------------------------

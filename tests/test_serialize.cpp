@@ -224,25 +224,37 @@ TEST_F(SerializeFileTest, BadMagicRejected) {
 }
 
 TEST_F(SerializeFileTest, VersionSkewRejected) {
-  // Same framing, but a future format version: the reader must refuse it
-  // with a message naming both versions, not misparse the payload.
-  Serializer s;
-  for (char ch : std::string("GNOCSNAP")) {
-    s.U8(static_cast<std::uint8_t>(ch));
-  }
-  s.U32(kSnapshotFormatVersion + 1);
-  s.U64(0xF00D);
-  s.Str("payload");
-  std::string framed = s.TakeBytes();
-  Serializer trailer;
-  trailer.U32(Crc32(framed));
-  framed += trailer.bytes();
-  AtomicWriteFile(Path("snap.bin"), framed);
-  try {
-    ReadSnapshotFile(Path("snap.bin"), 0xF00D);
-    FAIL() << "expected SerializeError";
-  } catch (const SerializeError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  // Same framing, but another format version — a future one, or v4 from
+  // before the removed scheduling backends left the Network payload: the
+  // reader must refuse it with a message naming both versions and telling
+  // the user to re-run, not misparse the payload.
+  for (const std::uint32_t version :
+       {kSnapshotFormatVersion + 1, std::uint32_t{4}}) {
+    Serializer s;
+    for (char ch : std::string("GNOCSNAP")) {
+      s.U8(static_cast<std::uint8_t>(ch));
+    }
+    s.U32(version);
+    s.U64(0xF00D);
+    s.Str("payload");
+    std::string framed = s.TakeBytes();
+    Serializer trailer;
+    trailer.U32(Crc32(framed));
+    framed += trailer.bytes();
+    AtomicWriteFile(Path("snap.bin"), framed);
+    try {
+      ReadSnapshotFile(Path("snap.bin"), 0xF00D);
+      FAIL() << "expected SerializeError for version " << version;
+    } catch (const SerializeError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("version " + std::to_string(kSnapshotFormatVersion)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("re-run the sweep"), std::string::npos) << what;
+    }
   }
 }
 

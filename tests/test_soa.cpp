@@ -1,16 +1,13 @@
-// Tests of the SoA batched core (scheduling=soa, DESIGN.md §14): the
-// four-way backend bit-identity matrix (full x active-set x event x soa)
-// across routing x VC-policy x topology, batched lockstep sweeps
-// (batch in {1, 2, 4}) against scalar execution — including heterogeneous
-// scheme lists that force scalar fallback — snapshot round-trips through
-// the SoA plane converter, watchdog parity and the idle-cost floor.
+// Tests of the SoA core (scheduling=soa, DESIGN.md §14): full-vs-soa bit
+// identity across topology, load and the GPU design space, snapshot
+// round-trips through the plane rebuild, watchdog parity and the idle-cost
+// floor. The routing x VC-policy matrix lives in test_scheduling.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/serialize.hpp"
 #include "noc/audit.hpp"
@@ -83,43 +80,9 @@ std::string NetworkFingerprint(NetworkConfig cfg, SchedulingMode mode,
   return out.str();
 }
 
-// The full four-way backend matrix: kFull, kActiveSet, kEvent and kSoa
-// must agree bit-for-bit — stats, audit counters and telemetry windows —
-// for every routing x VC-policy combination.
-TEST(SoaBitIdentityTest, FourWayOpenLoopMatrixAgrees) {
-  const RoutingAlgorithm routings[] = {
-      RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kXYYX};
-  const VcPolicyKind policies[] = {VcPolicyKind::kSplit,
-                                   VcPolicyKind::kAsymmetric,
-                                   VcPolicyKind::kDynamic};
-  for (RoutingAlgorithm routing : routings) {
-    for (VcPolicyKind policy : policies) {
-      NetworkConfig cfg;
-      cfg.width = 4;
-      cfg.height = 4;
-      cfg.num_vcs = 4;
-      cfg.vc_depth = 4;
-      cfg.routing = routing;
-      cfg.vc_policy = policy;
-      cfg.dynamic_epoch = 64;
-      const std::string label =
-          std::string(RoutingName(routing)) + "/" + VcPolicyName(policy);
-      const std::string full =
-          NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1);
-      EXPECT_EQ(full, NetworkFingerprint(cfg, SchedulingMode::kActiveSet, 0.1))
-          << label;
-      EXPECT_EQ(full, NetworkFingerprint(cfg, SchedulingMode::kEvent, 0.1))
-          << label;
-      EXPECT_EQ(full, NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.1))
-          << label;
-    }
-  }
-}
-
 // The equivalence must also hold on the non-mesh topologies: wrap links
-// (dateline VC halves in the SoA VA replica), concentration (multiple
-// local ports per router) and circulant skip links all change the plane
-// geometry.
+// (dateline VC halves), concentration (multiple local ports per router)
+// and circulant skip links all change the link planes' geometry.
 TEST(SoaBitIdentityTest, TopologyMatrixMatchesFullMode) {
   const TopologyKind topologies[] = {TopologyKind::kTorus,
                                      TopologyKind::kCMesh,
@@ -230,75 +193,13 @@ TEST(SoaBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
   EXPECT_GE(compared, 12) << "design space unexpectedly small";
 }
 
-// --- batched lockstep sweeps -----------------------------------------------
-
-// Any batch width must reproduce the scalar sweep byte-for-byte, on a
-// scheme list that exercises both paths: the first three schemes build the
-// same network structure (lockstep-eligible), the fourth differs in VC
-// count and must be split out of the group (scalar fallback).
-TEST(SoaBatchedSweepTest, BatchedSweepMatchesScalar) {
-  std::vector<SchemeSpec> schemes;
-  GpuConfig base = GpuConfig::Baseline();
-  schemes.push_back({"baseline", base});
-  GpuConfig mono = base;
-  mono.vc_policy = VcPolicyKind::kFullMonopolize;
-  schemes.push_back({"monopolize", mono});
-  GpuConfig yx = base;
-  yx.routing = RoutingAlgorithm::kYX;
-  schemes.push_back({"yx", yx});
-  GpuConfig wide = base;
-  wide.num_vcs = 4;
-  schemes.push_back({"wide", wide});
-
-  const std::vector<WorkloadProfile> workloads =
-      WorkloadSubset({"BFS", "KMN"});
-  SweepOptions opts;
-  opts.lengths = RunLengths{100, 400};
-  opts.threads = 1;
-  opts.scheduling = SchedulingMode::kSoa;
-  opts.batch = 1;
-  const SweepResult scalar = RunSweep(schemes, workloads, opts);
-  for (int batch : {2, 4}) {
-    opts.batch = batch;
-    const SweepResult batched = RunSweep(schemes, workloads, opts);
-    for (const SchemeSpec& s : schemes) {
-      for (const WorkloadProfile& w : workloads) {
-        ExpectRunsEqual(scalar.Get(s.label, w.name),
-                        batched.Get(s.label, w.name),
-                        s.label + "/" + w.name + " batch=" +
-                            std::to_string(batch));
-      }
-    }
-  }
-}
-
-// Lockstep grouping is a property of the runner, not the core: batching a
-// full-mode sweep must be byte-identical too.
-TEST(SoaBatchedSweepTest, BatchedFullModeSweepMatchesScalar) {
-  SchemeSpec scheme{"baseline", GpuConfig::Baseline()};
-  const std::vector<WorkloadProfile> workloads =
-      WorkloadSubset({"BFS", "KMN"});
-  SweepOptions opts;
-  opts.lengths = RunLengths{100, 400};
-  opts.threads = 1;
-  opts.scheduling = SchedulingMode::kFull;
-  opts.batch = 1;
-  const SweepResult scalar = RunSweep({scheme}, workloads, opts);
-  opts.batch = 4;
-  const SweepResult batched = RunSweep({scheme}, workloads, opts);
-  for (const WorkloadProfile& w : workloads) {
-    ExpectRunsEqual(scalar.Get("baseline", w.name),
-                    batched.Get("baseline", w.name), "full-mode " + w.name);
-  }
-}
-
 // --- snapshot round-trip through the SoA converter -------------------------
 
 // Saving mid-run from an SoA-mode network and restoring into a fresh one
 // must resume bit-identically. The snapshot format carries only object
-// state (format v3, unchanged); the restore path must rebuild every SoA
-// plane from the loaded objects (RebuildFromObjects), including front-ready
-// caches for flits parked mid-VC and due caches for flits mid-channel.
+// state; the restore path must rebuild the routers' front-ready caches for
+// flits parked mid-VC (Router::Load) and the core's due planes for flits
+// mid-channel (RebuildFromObjects).
 TEST(SoaSnapshotTest, SoaModeResumesBitIdentically) {
   NetworkConfig cfg;
   cfg.width = 4;
@@ -457,8 +358,8 @@ TEST(SoaWatchdogTest, FiresAtTheSameCycleAsFullMode) {
 // --- cost floor ------------------------------------------------------------
 
 // An idle SoA network ticks no routers and visits no channels: the only
-// per-cycle component steps are the NIC ticks (the SoA core keeps NICs on
-// the dense object path; see DESIGN.md §14).
+// per-cycle component steps are the NIC ticks (the SoA core ticks every
+// NIC every cycle; see DESIGN.md §14).
 TEST(SoaCostTest, IdleNetworkTicksOnlyNics) {
   NetworkConfig cfg;
   cfg.scheduling = SchedulingMode::kSoa;
