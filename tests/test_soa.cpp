@@ -1,7 +1,7 @@
 // Tests of the SoA core (scheduling=soa, DESIGN.md §14): full-vs-soa bit
-// identity across topology, load and the GPU design space, snapshot
-// round-trips through the plane rebuild, watchdog parity and the idle-cost
-// floor. The routing x VC-policy matrix lives in test_scheduling.cpp.
+// identity across routing x VC policy on a non-square mesh, topology, load
+// and the GPU design space, snapshot round-trips through the plane
+// rebuild, watchdog parity and the idle-cost floor.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -78,6 +78,35 @@ std::string NetworkFingerprint(NetworkConfig cfg, SchedulingMode mode,
       << " ej=" << r.flits_ejected << '\n';
   net.TelemetryResults().WriteCsv(out);
   return out.str();
+}
+
+// kFull and kSoa must agree bit-for-bit — stats, audit counters and
+// telemetry windows — for every routing x VC-policy combination on a
+// non-square 8x4 mesh, where XY, YX and XY-YX routes differ in length and
+// the busiest links are the long X rows.
+TEST(SoaBitIdentityTest, FourWayOpenLoopMatrixAgrees) {
+  const RoutingAlgorithm routings[] = {
+      RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kXYYX};
+  const VcPolicyKind policies[] = {VcPolicyKind::kSplit,
+                                   VcPolicyKind::kAsymmetric,
+                                   VcPolicyKind::kDynamic};
+  for (RoutingAlgorithm routing : routings) {
+    for (VcPolicyKind policy : policies) {
+      NetworkConfig cfg;
+      cfg.width = 8;
+      cfg.height = 4;
+      cfg.num_vcs = 4;
+      cfg.vc_depth = 4;
+      cfg.routing = routing;
+      cfg.vc_policy = policy;
+      cfg.dynamic_epoch = 64;
+      const std::string label =
+          std::string(RoutingName(routing)) + "/" + VcPolicyName(policy);
+      EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1),
+                NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.1))
+          << label;
+    }
+  }
 }
 
 // The equivalence must also hold on the non-mesh topologies: wrap links
