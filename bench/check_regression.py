@@ -43,7 +43,10 @@ Regenerate the baseline after an intentional behavior change with:
 
     python3 bench/check_regression.py --build-dir build --update
 
-Exit status: 0 = all gates pass, 1 = a gate failed, 2 = usage/setup error.
+Every gate runs and reports even when an earlier one failed, and a summary
+of the failed gates ends the output. Exit status: 0 = all gates pass,
+1 = a gate failed (no baseline is written under --update), 2 = usage/setup
+error.
 """
 
 import argparse
@@ -136,6 +139,14 @@ def diff_json(a, b, exact_floats, path="$"):
     return []
 
 
+def report_fail(failed, gate, message, diffs=()):
+    """Prints one gate failure (with up to 20 diff lines) and records it."""
+    print(f"check_regression{gate}: FAIL — {message}", file=sys.stderr)
+    for d in diffs[:20]:
+        print("  " + d, file=sys.stderr)
+    failed.append(f"check_regression{gate}: {message.rstrip(':')}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--build-dir", default=os.environ.get("BUILD_DIR", "build"))
@@ -168,6 +179,11 @@ def main():
             sys.exit(f"check_regression: cannot read baseline: {e}")
         protocol = baseline["protocol"]
 
+    # Every gate runs and reports even after an earlier one failed, so one
+    # failure never hides the state of the others; the exit status is 1 when
+    # any gate failed.
+    failed = []
+
     full_json = os.path.join(args.out_dir, "sweep_full.json")
     full_doc, full_wall = run_mode(args.build_dir, protocol, "full", full_json)
     soa_json = os.path.join(args.out_dir, "sweep_soa.json")
@@ -180,12 +196,9 @@ def main():
     # float comparison — any diff is a scheduler bug).
     diffs = diff_json(full_doc, soa_doc, exact_floats=True)
     if diffs:
-        print("check_regression: FAIL — soa diverged from full mode:",
-              file=sys.stderr)
-        for d in diffs[:20]:
-            print("  " + d, file=sys.stderr)
-        return 1
-    print("check_regression: bit-identity ok (soa == full, exact)")
+        report_fail(failed, "", "soa diverged from full mode:", diffs)
+    else:
+        print("check_regression: bit-identity ok (soa == full, exact)")
 
     # Gate 3b: absolute soa/full ceiling on the default protocol. Unlike the
     # relative ratio gates this does not drift with the baseline — the SoA
@@ -193,14 +206,14 @@ def main():
     # Enforced in --update mode too: a baseline may never record a ratio
     # that fails the absolute gate.
     if soa_ratio > args.soa_max_ratio:
-        print(f"check_regression: FAIL — soa/full wall-clock ratio "
-              f"{soa_ratio:.3f} exceeds the absolute ceiling "
-              f"{args.soa_max_ratio:.2f} (SoA core must stay >="
-              f"{1.0 / args.soa_max_ratio:.2f}x faster than full)",
-              file=sys.stderr)
-        return 1
-    print(f"check_regression: soa perf ok (absolute ratio {soa_ratio:.3f} "
-          f"<= {args.soa_max_ratio:.2f})")
+        report_fail(failed, "",
+                    f"soa/full wall-clock ratio {soa_ratio:.3f} exceeds the "
+                    f"absolute ceiling {args.soa_max_ratio:.2f} (SoA core "
+                    f"must stay >={1.0 / args.soa_max_ratio:.2f}x faster "
+                    "than full)")
+    else:
+        print(f"check_regression: soa perf ok (absolute ratio "
+              f"{soa_ratio:.3f} <= {args.soa_max_ratio:.2f})")
 
     # Gate 4: checkpoint-off hot-path cost. The checkpoint-enabled run
     # (same machine, same protocol, strictly more work) is the control; the
@@ -215,23 +228,20 @@ def main():
         extra_args=[f"checkpoint_dir={ckpt_dir}"])
     shutil.rmtree(ckpt_dir, ignore_errors=True)
     diffs = diff_json(full_doc, ckpt_doc, exact_floats=True)
-    if diffs:
-        print("check_regression: FAIL — checkpointed sweep diverged from "
-              "plain run:", file=sys.stderr)
-        for d in diffs[:20]:
-            print("  " + d, file=sys.stderr)
-        return 1
     allowed_wall = ckpt_wall * (1.0 + args.ckpt_tolerance)
-    if full_wall > allowed_wall:
-        print(f"check_regression: FAIL — checkpoint-off wall "
-              f"{full_wall:.3f}s exceeds checkpoint-on control "
-              f"{ckpt_wall:.3f}s +{args.ckpt_tolerance:.0%} "
-              f"({allowed_wall:.3f}s): the checkpoint-off path is paying "
-              f"checkpoint costs", file=sys.stderr)
-        return 1
-    print(f"check_regression: checkpoint ok (results identical, off wall "
-          f"{full_wall:.3f}s <= on {ckpt_wall:.3f}s "
-          f"+{args.ckpt_tolerance:.0%})")
+    if diffs:
+        report_fail(failed, "", "checkpointed sweep diverged from plain run:",
+                    diffs)
+    elif full_wall > allowed_wall:
+        report_fail(failed, "",
+                    f"checkpoint-off wall {full_wall:.3f}s exceeds "
+                    f"checkpoint-on control {ckpt_wall:.3f}s "
+                    f"+{args.ckpt_tolerance:.0%} ({allowed_wall:.3f}s): the "
+                    "checkpoint-off path is paying checkpoint costs")
+    else:
+        print(f"check_regression: checkpoint ok (results identical, off wall "
+              f"{full_wall:.3f}s <= on {ckpt_wall:.3f}s "
+              f"+{args.ckpt_tolerance:.0%})")
 
     # Gate 5: extra pinned protocols (e.g. the fixed-seed 16x16 torus run),
     # each re-running the bit-identity / stats / wall-ratio gates.
@@ -240,6 +250,7 @@ def main():
     extra_updated = []
     for spec in extra_specs:
         name = spec["name"]
+        gate = f"[{name}]"
         proto = {"harness": spec["harness"], "args": spec["args"],
                  "repeats": spec["repeats"]}
         e_full_doc, e_full_wall = run_mode(
@@ -249,16 +260,13 @@ def main():
             args.build_dir, proto, "soa",
             os.path.join(args.out_dir, f"sweep_{name}_soa.json"))
         e_soa_ratio = e_soa_wall / e_full_wall
-        print(f"check_regression[{name}]: wall full={e_full_wall:.3f}s "
+        print(f"check_regression{gate}: wall full={e_full_wall:.3f}s "
               f"soa={e_soa_wall:.3f}s (ratio={e_soa_ratio:.3f})")
         diffs = diff_json(e_full_doc, e_soa_doc, exact_floats=True)
         if diffs:
-            print(f"check_regression[{name}]: FAIL — soa diverged from full "
-                  "mode:", file=sys.stderr)
-            for d in diffs[:20]:
-                print("  " + d, file=sys.stderr)
-            return 1
-        print(f"check_regression[{name}]: bit-identity ok (soa == full, "
+            report_fail(failed, gate, "soa diverged from full mode:", diffs)
+            continue
+        print(f"check_regression{gate}: bit-identity ok (soa == full, "
               "exact)")
         if args.update:
             extra_updated.append(dict(proto, name=name,
@@ -267,27 +275,24 @@ def main():
             continue
         diffs = diff_json(spec["results"], e_full_doc, exact_floats=False)
         if diffs:
-            print(f"check_regression[{name}]: FAIL — stats changed vs "
-                  "committed baseline (if intentional, rerun with --update):",
-                  file=sys.stderr)
-            for d in diffs[:20]:
-                print("  " + d, file=sys.stderr)
-            return 1
-        print(f"check_regression[{name}]: stats ok "
-              "(match committed baseline)")
+            report_fail(failed, gate, "stats changed vs committed baseline "
+                        "(if intentional, rerun with --update):", diffs)
+        else:
+            print(f"check_regression{gate}: stats ok "
+                  "(match committed baseline)")
         if "wall_ratio_soa" not in spec:
-            print(f"check_regression[{name}]: note — baseline has no "
+            print(f"check_regression{gate}: note — baseline has no "
                   "wall_ratio_soa; rerun with --update to pin the soa ratio")
             continue
         allowed = spec["wall_ratio_soa"] * (1.0 + args.max_regress)
         if e_soa_ratio > allowed:
-            print(f"check_regression[{name}]: FAIL — soa/full wall-clock "
-                  f"ratio {e_soa_ratio:.3f} exceeds baseline "
-                  f"{spec['wall_ratio_soa']:.3f} +{args.max_regress:.0%} "
-                  f"allowance ({allowed:.3f})", file=sys.stderr)
-            return 1
-        print(f"check_regression[{name}]: perf ok "
-              f"(soa ratio {e_soa_ratio:.3f} <= {allowed:.3f})")
+            report_fail(failed, gate,
+                        f"soa/full wall-clock ratio {e_soa_ratio:.3f} exceeds "
+                        f"baseline {spec['wall_ratio_soa']:.3f} "
+                        f"+{args.max_regress:.0%} allowance ({allowed:.3f})")
+        else:
+            print(f"check_regression{gate}: perf ok "
+                  f"(soa ratio {e_soa_ratio:.3f} <= {allowed:.3f})")
 
     # Gate 6: QoS guaranteed-service pin. The harness self-checks the hard
     # invariants (full-vs-soa scheduling bit-identity with QoS enabled,
@@ -304,34 +309,39 @@ def main():
         qos_cmd = [qos_harness] + qos_spec["args"] + [f"json={qos_json}"]
         qos_run = subprocess.run(qos_cmd, stdout=subprocess.DEVNULL)
         if qos_run.returncode != 0:
-            print("check_regression[qos]: FAIL — qos_starvation self-checks "
-                  f"failed (exit {qos_run.returncode}): a scheduling backend "
-                  "diverged under QoS, the snapshot-resume leg mismatched, "
-                  "or the p99 target was missed", file=sys.stderr)
-            return 1
-        with open(qos_json) as f:
-            qos_doc = json.load(f)
-        print("check_regression[qos]: self-checks ok (bit-identity across "
-              "all backends + snapshot resume, SLO held)")
-        if args.update:
-            qos_updated = {"harness": qos_spec["harness"],
-                           "args": qos_spec["args"],
-                           "repeats": qos_spec["repeats"],
-                           "results": qos_doc}
+            report_fail(failed, "[qos]",
+                        "qos_starvation self-checks failed (exit "
+                        f"{qos_run.returncode}): a scheduling backend "
+                        "diverged under QoS, the snapshot-resume leg "
+                        "mismatched, or the p99 target was missed")
         else:
-            diffs = diff_json(qos_spec["results"], qos_doc,
-                              exact_floats=False)
-            if diffs:
-                print("check_regression[qos]: FAIL — stats changed vs "
-                      "committed baseline (if intentional, rerun with "
-                      "--update):", file=sys.stderr)
-                for d in diffs[:20]:
-                    print("  " + d, file=sys.stderr)
-                return 1
-            print("check_regression[qos]: stats ok (match committed "
-                  "baseline)")
+            with open(qos_json) as f:
+                qos_doc = json.load(f)
+            print("check_regression[qos]: self-checks ok (bit-identity "
+                  "across all backends + snapshot resume, SLO held)")
+            if args.update:
+                qos_updated = {"harness": qos_spec["harness"],
+                               "args": qos_spec["args"],
+                               "repeats": qos_spec["repeats"],
+                               "results": qos_doc}
+            else:
+                diffs = diff_json(qos_spec["results"], qos_doc,
+                                  exact_floats=False)
+                if diffs:
+                    report_fail(failed, "[qos]", "stats changed vs committed "
+                                "baseline (if intentional, rerun with "
+                                "--update):", diffs)
+                else:
+                    print("check_regression[qos]: stats ok (match committed "
+                          "baseline)")
 
     if args.update:
+        if failed:
+            print(f"check_regression: baseline NOT updated — {len(failed)} "
+                  "gate(s) failed:", file=sys.stderr)
+            for f in failed:
+                print("  " + f, file=sys.stderr)
+            return 1
         doc = {
             "protocol": protocol,
             "wall_seconds": {"full": round(full_wall, 4),
@@ -350,12 +360,10 @@ def main():
     # Gate 2: simulated results must match the committed baseline.
     diffs = diff_json(baseline["results"], full_doc, exact_floats=False)
     if diffs:
-        print("check_regression: FAIL — stats changed vs committed baseline "
-              "(if intentional, rerun with --update):", file=sys.stderr)
-        for d in diffs[:20]:
-            print("  " + d, file=sys.stderr)
-        return 1
-    print("check_regression: stats ok (match committed baseline)")
+        report_fail(failed, "", "stats changed vs committed baseline (if "
+                    "intentional, rerun with --update):", diffs)
+    else:
+        print("check_regression: stats ok (match committed baseline)")
 
     # Gate 3: runner-normalized wall-clock. The committed ratio already
     # proves the soa speedup on the baseline machine; here we only require
@@ -363,18 +371,24 @@ def main():
     if "wall_ratio_soa" not in baseline:
         print("check_regression: note — baseline has no wall_ratio_soa; "
               "rerun with --update to pin the soa ratio")
-        return 0
-    allowed = baseline["wall_ratio_soa"] * (1.0 + args.max_regress)
-    if soa_ratio > allowed:
-        print(f"check_regression: FAIL — soa/full wall-clock ratio "
-              f"{soa_ratio:.3f} exceeds baseline "
-              f"{baseline['wall_ratio_soa']:.3f} +{args.max_regress:.0%} "
-              f"allowance ({allowed:.3f})", file=sys.stderr)
-        return 1
-    print(f"check_regression: perf ok (soa ratio {soa_ratio:.3f} <= "
-          f"{allowed:.3f})")
-    return 0
+    else:
+        allowed = baseline["wall_ratio_soa"] * (1.0 + args.max_regress)
+        if soa_ratio > allowed:
+            report_fail(failed, "",
+                        f"soa/full wall-clock ratio {soa_ratio:.3f} exceeds "
+                        f"baseline {baseline['wall_ratio_soa']:.3f} "
+                        f"+{args.max_regress:.0%} allowance ({allowed:.3f})")
+        else:
+            print(f"check_regression: perf ok (soa ratio {soa_ratio:.3f} <= "
+                  f"{allowed:.3f})")
 
+    if failed:
+        print(f"check_regression: {len(failed)} gate(s) failed:",
+              file=sys.stderr)
+        for f in failed:
+            print("  " + f, file=sys.stderr)
+        return 1
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())
