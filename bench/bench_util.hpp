@@ -1,27 +1,10 @@
 // Shared helpers for the per-figure benchmark harnesses.
 //
-// Every harness accepts "key=value" overrides:
-//   scale=0.25        shrink warmup/measure cycles (quick smoke run)
-//   workloads=BFS,KMN restrict the benchmark set
-//   csv=true          emit CSV instead of aligned tables
-//   threads=4         parallel sweep workers (0/default: one per core;
-//                     results are identical for any thread count)
-//   json=out.json     also write the figure's results as structured JSON
-//   audit=true        run every cell with the NoC invariant auditor on
-//                     (per-cell report lands in the JSON "audit" field)
-//   telemetry=true    run every cell with the telemetry sampler on (summary
-//                     in the JSON "telemetry" field; see telemetry_out=)
-//   telemetry_interval=100  cycles between telemetry samples
-//   telemetry_out=p   write <p>.csv and <p>.trace.json for runs a harness
-//                     designates (e.g. fig4's standalone KMN run)
-//   scheduling=soa    NoC component scheduling for every cell: full (tick
-//                     everything, the reference, default) or soa (skip
-//                     idle routers and links; same results, faster)
-//   qos=strict        QoS arbitration discipline for every cell
-//                     (none|strict|wrr; see DESIGN.md §15)
-//   qos_class=...     per-class contract spec, repeatable: the i-th
-//                     occurrence configures class i (request, reply), e.g.
-//                     qos_class=critical,prio=2,vcs=1,p99=400
+// Every harness accepts the "key=value" flags RegisterSweepFlags declares
+// (scale=, workloads=, threads=, json=, audit=, telemetry=, scheduling=,
+// checkpoint_dir=, the GpuConfig grid keys topology=/radix=/num_vcs=/
+// qos=/qos_class=, ...). Run any harness with help= for the generated
+// list with types and defaults; EXPERIMENTS.md describes each flag.
 #pragma once
 
 #include <unistd.h>
@@ -84,17 +67,22 @@ inline std::string TrimToken(const std::string& s) {
   return s.substr(begin, end - begin);
 }
 
-/// Parses a "workloads=" list: comma separated names, whitespace trimmed,
-/// empty tokens skipped. Unknown names throw with the full list of valid
-/// names in the message.
-inline std::vector<WorkloadProfile> ParseWorkloadList(const std::string& list) {
-  std::vector<std::string> names;
+/// Splits a comma list, trimming whitespace and skipping empty tokens.
+inline std::vector<std::string> SplitList(const std::string& list) {
+  std::vector<std::string> out;
   std::istringstream iss(list);
   std::string token;
   while (std::getline(iss, token, ',')) {
     token = TrimToken(token);
-    if (!token.empty()) names.push_back(token);
+    if (!token.empty()) out.push_back(token);
   }
+  return out;
+}
+
+/// Parses a "workloads=" list (SplitList). Unknown names throw with the
+/// full list of valid names in the message.
+inline std::vector<WorkloadProfile> ParseWorkloadList(const std::string& list) {
+  const std::vector<std::string> names = SplitList(list);
   if (names.empty()) return AllWorkloads();
   try {
     return WorkloadSubset(names);
@@ -109,104 +97,56 @@ inline std::vector<WorkloadProfile> ParseWorkloadList(const std::string& list) {
   }
 }
 
-/// A validator for flags that must be >= 0.
-inline FlagSet::IntCheck NonNegative() {
-  return [](std::int64_t v) {
-    return v < 0 ? std::string("must be >= 0") : std::string();
-  };
-}
+/// GpuConfig keys every sweep harness accepts and WithGridOverrides applies
+/// to each scheme's base configuration, so the paper matrix re-runs on
+/// other topologies and sizes, e.g. topology=torus radix=16 num_vcs=4.
+/// Their types, ranges and help come from the GpuConfig key table.
+inline const std::vector<std::string> kGridKeys = {
+    "topology", "radix", "circulant_s1", "circulant_s2",
+    "num_vcs",  "qos",   "qos_class"};
 
 /// Registers the flags every sweep harness shares (EXPERIMENTS.md lists
 /// them once; drivers add their own flags on top).
 inline void RegisterSweepFlags(FlagSet& flags) {
-  flags.AddDouble("scale", 1.0, "scales warmup/measure cycles",
-                  [](double v) {
-                    return v <= 0.0 ? std::string("must be > 0")
-                                    : std::string();
-                  });
+  flags.AddDouble("scale", 1.0, "scales warmup/measure cycles", Positive());
   flags.AddString("workloads", "",
                   "comma-separated benchmark subset (empty = all 25)");
   flags.AddBool("csv", false, "emit CSV instead of aligned tables");
   flags.AddInt("threads", 0, "parallel sweep workers (0 = one per core)",
-               NonNegative());
+               AtLeast(0));
   flags.AddString("json", "", "also write results as JSON to this path");
   flags.AddBool("audit", false, "run cells with the NoC invariant auditor");
   flags.AddBool("telemetry", false,
                 "run cells with the NoC telemetry sampler");
   flags.AddInt("telemetry_interval", 0,
                "cycles between telemetry samples (0 = config default)",
-               NonNegative());
+               AtLeast(0));
   flags.AddString("telemetry_out", "",
                   "prefix for telemetry .csv/.trace.json exports");
-  flags.AddEnum("scheduling", "full", "NoC component scheduling",
-                SchedulingRegistry());
+  // scheduling= is a GpuConfig key, but it reaches each cell through
+  // SweepOptions::scheduling rather than the scheme's configuration.
+  RegisterGpuConfigFlags(flags, {"scheduling"});
   flags.AddString("checkpoint_dir", "",
                   "directory for crash-resumable sweep state (empty = off)");
   flags.AddInt("checkpoint_interval", 0,
                "cycles between mid-cell snapshots (0 = per-cell only)",
-               NonNegative());
+               AtLeast(0));
   flags.AddBool("resume", false,
                 "resume a checkpointed sweep from checkpoint_dir");
-  // Grid/topology overrides applied to every scheme's base configuration
-  // (WithGridOverrides), so the paper matrix re-runs on other topologies
-  // and sizes, e.g. topology=torus radix=16 num_vcs=4.
-  flags.AddEnum("topology", "mesh", "interconnect topology",
-                {"mesh", "torus", "cmesh", "circulant"});
-  flags.AddInt("radix", 8,
-               "square-grid shorthand: width = height = num_mcs = radix",
-               [](std::int64_t v) {
-                 return v < 2 ? std::string("must be >= 2") : std::string();
-               });
-  flags.AddInt("circulant_s1", 1, "circulant chord step s1",
-               [](std::int64_t v) {
-                 return v < 1 ? std::string("must be >= 1") : std::string();
-               });
-  flags.AddInt("circulant_s2", 0, "circulant chord step s2 (0 = near-sqrt)",
-               NonNegative());
-  flags.AddInt("num_vcs", 2,
-               "VCs per port (dateline topologies need >= 4 under split)",
-               [](std::int64_t v) {
-                 return v < 1 ? std::string("must be >= 1") : std::string();
-               });
-  flags.AddString("qos", "none",
-                  "QoS arbitration discipline (none|strict|wrr)",
-                  [](const std::string& v) -> std::string {
-                    try {
-                      ParseQosArbitration(v);
-                      return "";
-                    } catch (const std::exception& e) {
-                      return e.what();
-                    }
-                  });
-  flags.AddString("qos_class", "",
-                  "traffic class spec '<name>[,prio=N][,rate=X][,burst=N]"
-                  "[,vcs=N][,p99=X]' (repeatable; i-th occurrence = class i)",
-                  [](const std::string& v) -> std::string {
-                    if (v.empty()) return "";
-                    try {
-                      ParseTrafficClassSpec(v);
-                      return "";
-                    } catch (const std::exception& e) {
-                      return e.what();
-                    }
-                  });
+  RegisterGpuConfigFlags(flags, kGridKeys);
 }
 
-/// Applies the shared grid/topology overrides (topology=, radix=,
-/// circulant_s1/s2=, num_vcs=) to a driver's base configuration. Keys the
-/// user did not set keep the driver's programmed values, so default runs
-/// are untouched.
-inline GpuConfig WithGridOverrides(GpuConfig cfg, const BenchOptions& opts) {
+/// Applies the grid/topology `keys` (default kGridKeys) the user set to a
+/// driver's base configuration. Keys the user did not set keep the
+/// driver's programmed values, so default runs are untouched.
+inline GpuConfig WithGridOverrides(
+    GpuConfig cfg, const BenchOptions& opts,
+    const std::vector<std::string>& keys = kGridKeys) {
   Config sub;
-  for (const char* key :
-       {"topology", "radix", "circulant_s1", "circulant_s2", "num_vcs",
-        "qos"}) {
-    if (opts.raw.Contains(key)) sub.Set(key, opts.raw.GetString(key, ""));
-  }
-  // qos_class= is positional and repeatable: forward every occurrence in
-  // order so the i-th still configures class i.
-  for (const std::string& spec : opts.raw.GetList("qos_class")) {
-    if (!spec.empty()) sub.Append("qos_class", spec);
+  for (const std::string& key : keys) {
+    for (const std::string& value : opts.raw.GetList(key)) {
+      sub.Append(key, value);
+    }
   }
   cfg.ApplyOverrides(sub);
   return cfg;

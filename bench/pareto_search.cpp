@@ -21,17 +21,6 @@
 namespace gnoc::bench {
 namespace {
 
-std::vector<std::string> SplitList(const std::string& list) {
-  std::vector<std::string> out;
-  std::istringstream iss(list);
-  std::string token;
-  while (std::getline(iss, token, ',')) {
-    token = TrimToken(token);
-    if (!token.empty()) out.push_back(token);
-  }
-  return out;
-}
-
 /// Replaces one axis when its flag was given; "" keeps the paper default.
 template <typename T, typename ParseFn>
 void OverrideAxis(std::vector<T>& axis, const std::string& list,
@@ -43,9 +32,6 @@ void OverrideAxis(std::vector<T>& axis, const std::string& list,
 }
 
 int Main(int argc, char** argv) {
-  const auto positive = [](std::int64_t v) {
-    return v < 1 ? std::string("must be >= 1") : std::string();
-  };
   BenchOptions opts = ParseBenchOptions(
       argc, argv, "pareto_search",
       "multi-objective design-space search: NSGA-II / random / grid over "
@@ -55,11 +41,11 @@ int Main(int argc, char** argv) {
                   {"nsga2", "random", "grid"});
         f.AddString("objectives", "ipc,mean_latency,p99_latency,buffer_area",
                     "comma list: ipc, mean_latency, p99_latency, buffer_area");
-        f.AddInt("population", 16, "designs proposed per batch", positive);
+        f.AddInt("population", 16, "designs proposed per batch", AtLeast(1));
         f.AddInt("max_evaluations", 96,
                  "feasible-design budget (0 = exhaust the space)",
-                 NonNegative());
-        f.AddInt("seed", 1, "search RNG seed", NonNegative());
+                 AtLeast(0));
+        f.AddInt("seed", 1, "search RNG seed", AtLeast(0));
         f.AddString("out", "pareto.json", "frontier artifact path");
         f.AddString("placements", "",
                     "axis override, e.g. bottom,edge (empty = paper axis)");
@@ -85,11 +71,7 @@ int Main(int argc, char** argv) {
                [](const std::string& s) { return std::stoi(s); });
   // radix= reshapes the base grid under the axes (the axes themselves
   // carry topology/VC choices, so only the size shorthand applies here).
-  if (opts.raw.Contains("radix")) {
-    Config sub;
-    sub.Set("radix", opts.raw.GetString("radix", ""));
-    space.base.ApplyOverrides(sub);
-  }
+  space.base = WithGridOverrides(space.base, opts, {"radix"});
 
   SearchOptions sopt;
   sopt.strategy = ParseSearchStrategy(opts.raw.GetString("strategy"));

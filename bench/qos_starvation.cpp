@@ -171,10 +171,7 @@ int main(int argc, char** argv) {
                         "token-bucket rate cap on the bulk class, flits/cycle",
                         rate);
         flags.AddInt("bulk_burst", 10, "token-bucket burst, flits",
-                     [](std::int64_t v) {
-                       return v < 0 ? std::string("must be >= 0")
-                                    : std::string();
-                     });
+                     AtLeast(0));
       });
   std::cout << SectionHeader(
       "QoS starvation — latency-critical packets vs saturating bulk"

@@ -14,9 +14,7 @@ int main(int argc, char** argv) {
       argc, argv, "table1_hop_counts",
       "Table 1: analytic average hop counts per MC placement",
       [](FlagSet& flags) {
-        flags.AddInt("n", 8, "mesh side length", [](std::int64_t v) {
-          return v < 1 ? std::string("must be >= 1") : std::string();
-        });
+        flags.AddInt("n", 8, "mesh side length", AtLeast(1));
       });
   const int n = static_cast<int>(opts.raw.GetInt("n", 8));
 

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
                 "Measured per-link utilization heatmaps from the telemetry "
                 "sampler (empirical Fig. 4/6)");
   flags.AddString("workload", "KMN", "the workload profile to run");
-  flags.AddInt("measure", 8000, "measured cycles");
+  flags.AddInt("measure", 8000, "measured cycles", AtLeast(1));
   flags.AddInt("window", -1,
                "telemetry window to render (-1 = whole-run aggregate)");
   RegisterGpuConfigFlags(flags);

@@ -23,23 +23,11 @@ int main(int argc, char** argv) {
                 "MC placements: analytic hop counts, deadlock safety and "
                 "measured IPC side by side");
   flags.AddString("workload", "SRAD", "the workload profile to run");
-  flags.AddString("routing", "xy", "routing algorithm (xy|yx|xy-yx)",
-                  [](const std::string& v) -> std::string {
-                    try {
-                      ParseRouting(v);
-                      return "";
-                    } catch (const std::exception& e) {
-                      return e.what();
-                    }
-                  });
+  RegisterGpuConfigFlags(flags, {"routing"});
   flags.AddDouble("scale", 1.0, "warmup/measure scaling factor",
-                  [](double v) {
-                    return v <= 0 ? std::string("must be > 0") : std::string();
-                  });
+                  Positive());
   flags.AddInt("threads", 0, "sweep worker threads (0 = one per core)",
-               [](std::int64_t v) {
-                 return v < 0 ? std::string("must be >= 0") : std::string();
-               });
+               AtLeast(0));
 
   Config args;
   try {

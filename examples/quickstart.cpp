@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
                 "Run the paper's baseline GPGPU on one workload and print "
                 "system and network statistics");
   flags.AddString("workload", "BFS", "the workload profile to run");
-  flags.AddInt("warmup", 3000, "warm-up cycles (not measured)");
-  flags.AddInt("measure", 12000, "measured cycles");
+  flags.AddInt("warmup", 3000, "warm-up cycles (not measured)", AtLeast(0));
+  flags.AddInt("measure", 12000, "measured cycles", AtLeast(1));
   RegisterGpuConfigFlags(flags);
 
   Config args;

@@ -22,13 +22,9 @@ int main(int argc, char** argv) {
                 "to YX + fully monopolized VCs");
   flags.AddString("workload", "KMN", "the workload profile to run");
   flags.AddDouble("scale", 1.0, "warmup/measure scaling factor",
-                  [](double v) {
-                    return v <= 0 ? std::string("must be > 0") : std::string();
-                  });
+                  Positive());
   flags.AddInt("threads", 0, "sweep worker threads (0 = one per core)",
-               [](std::int64_t v) {
-                 return v < 0 ? std::string("must be >= 0") : std::string();
-               });
+               AtLeast(0));
 
   Config args;
   try {

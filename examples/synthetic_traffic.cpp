@@ -16,6 +16,7 @@
 #include "common/table.hpp"
 #include "noc/telemetry.hpp"
 #include "noc/traffic.hpp"
+#include "sim/gpu_config.hpp"
 
 using namespace gnoc;
 
@@ -25,27 +26,9 @@ int main(int argc, char** argv) {
                 "plus the request/reply echo workload");
   flags.AddString("pattern", "uniform",
                   "traffic pattern (uniform|transpose|bitrev|hotspot)",
-                  [](const std::string& v) -> std::string {
-                    try {
-                      ParseTrafficPattern(v);
-                      return "";
-                    } catch (const std::exception& e) {
-                      return e.what();
-                    }
-                  });
-  flags.AddString("routing", "xy", "routing algorithm (xy|yx|xy-yx)",
-                  [](const std::string& v) -> std::string {
-                    try {
-                      ParseRouting(v);
-                      return "";
-                    } catch (const std::exception& e) {
-                      return e.what();
-                    }
-                  });
-  flags.AddInt("cycles", 5000, "measured cycles per load point",
-               [](std::int64_t v) {
-                 return v < 1 ? std::string("must be >= 1") : std::string();
-               });
+                  ParsedBy(ParseTrafficPattern));
+  RegisterGpuConfigFlags(flags, {"routing"});
+  flags.AddInt("cycles", 5000, "measured cycles per load point", AtLeast(1));
   flags.AddString("warmup", "0",
                   "warm-up cycles, or 'auto' for the steady-state detector",
                   [](const std::string& v) -> std::string {

@@ -70,10 +70,7 @@ int main(int argc, char** argv) {
                 "Record a full-system packet trace, then replay it against "
                 "NoC variants without the cores");
   flags.AddString("workload", "SRAD", "the workload profile to record");
-  flags.AddInt("measure", 6000, "recorded cycles",
-               [](std::int64_t v) {
-                 return v < 1 ? std::string("must be >= 1") : std::string();
-               });
+  flags.AddInt("measure", 6000, "recorded cycles", AtLeast(1));
   flags.AddString("trace_file", "", "write the recorded trace to this file");
   flags.AddString("trace_out", "",
                   "replay the baseline with telemetry and write "

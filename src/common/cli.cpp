@@ -7,22 +7,9 @@ namespace gnoc {
 
 namespace {
 
-const char* KindName(int kind) {
-  switch (kind) {
-    case 0:
-      return "int";
-    case 1:
-      return "double";
-    case 2:
-      return "bool";
-    case 3:
-      return "string";
-    case 4:
-      return "enum";
-    default:
-      return "?";
-  }
-}
+/// Help-text type names, indexed by FlagSet::Kind.
+constexpr const char* kKindNames[] = {"int", "double", "bool", "string",
+                                      "enum"};
 
 /// Levenshtein edit distance (classic two-row DP) for did-you-mean.
 std::size_t EditDistance(const std::string& a, const std::string& b) {
@@ -38,6 +25,32 @@ std::size_t EditDistance(const std::string& a, const std::string& b) {
     std::swap(prev, cur);
   }
   return prev[b.size()];
+}
+
+/// "; did you mean '<c>'?" naming the candidate closest to `text`, or ""
+/// when none is a plausible near-miss.
+std::string Suggestion(const std::string& text,
+                       const std::vector<std::string>& candidates) {
+  const std::string* best = nullptr;
+  std::size_t best_distance = 0;
+  for (const std::string& c : candidates) {
+    const std::size_t d = EditDistance(text, c);
+    if (best == nullptr || d < best_distance) {
+      best = &c;
+      best_distance = d;
+    }
+  }
+  if (best == nullptr ||
+      best_distance > std::max<std::size_t>(2, text.size() / 3)) {
+    return "";
+  }
+  return "; did you mean '" + *best + "'?";
+}
+
+std::string Join(const std::vector<std::string>& values) {
+  std::string out;
+  for (const std::string& v : values) out += (out.empty() ? "" : "|") + v;
+  return out;
 }
 
 bool IsHelpToken(const std::string& token) {
@@ -110,7 +123,8 @@ FlagSet& FlagSet::AddString(const std::string& name, const std::string& def,
 
 FlagSet& FlagSet::AddEnum(const std::string& name, const std::string& def,
                           const std::string& doc,
-                          std::vector<std::string> values) {
+                          std::vector<std::string> values,
+                          std::function<bool(const std::string&)> accepts) {
   if (values.empty()) {
     throw CliError("enum flag '" + name + "' needs at least one value");
   }
@@ -124,6 +138,7 @@ FlagSet& FlagSet::AddEnum(const std::string& name, const std::string& def,
   f.def = def;
   f.doc = doc;
   f.enum_values = std::move(values);
+  f.enum_accepts = std::move(accepts);
   return Register(std::move(f));
 }
 
@@ -131,38 +146,40 @@ bool FlagSet::Contains(const std::string& name) const {
   return index_.count(name) != 0;
 }
 
-void FlagSet::ThrowUnknown(const std::string& key) const {
-  std::string message = "unknown flag '" + key + "'";
-  const Flag* best = nullptr;
-  std::size_t best_distance = 0;
-  for (const Flag& flag : flags_) {
-    const std::size_t d = EditDistance(key, flag.name);
-    if (best == nullptr || d < best_distance) {
-      best = &flag;
-      best_distance = d;
+std::vector<std::string> FlagSet::Names() const {
+  std::vector<std::string> names;
+  for (const Flag& flag : flags_) names.push_back(flag.name);
+  return names;
+}
+
+void FlagSet::Validate(const Config& config) const {
+  for (const std::string& key : config.keys()) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) ThrowUnknown(key);
+    for (const std::string& value : config.GetList(key)) {
+      Validate(flags_[it->second], value);
     }
   }
-  // Only suggest a plausible near-miss, not an arbitrary flag.
-  if (best != nullptr &&
-      best_distance <= std::max<std::size_t>(2, key.size() / 3)) {
-    message += "; did you mean '" + best->name + "'?";
-  }
-  message += " (run with help= for the flag list)";
-  throw CliError(message);
+}
+
+void FlagSet::ThrowUnknown(const std::string& key) const {
+  throw CliError("unknown flag '" + key + "'" + Suggestion(key, Names()) +
+                 " (run with help= for the flag list)");
 }
 
 void FlagSet::Validate(const Flag& flag, const std::string& value) const {
   const auto fail = [&](const std::string& why) {
-    throw CliError("flag '" + flag.name + "': " + why);
+    throw CliError(flag.name + ": " + why);
   };
+  // The typed Config getters are the one parser of ints, doubles and bools.
+  Config one;
+  one.Set(flag.name, value);
   switch (flag.kind) {
     case Kind::kInt: {
       std::int64_t v = 0;
       try {
-        std::size_t pos = 0;
-        v = std::stoll(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument("trailing");
-      } catch (const std::exception&) {
+        v = one.GetInt(flag.name, 0);
+      } catch (const std::invalid_argument&) {
         fail("'" + value + "' is not an integer");
       }
       if (flag.int_check) {
@@ -174,10 +191,8 @@ void FlagSet::Validate(const Flag& flag, const std::string& value) const {
     case Kind::kDouble: {
       double v = 0.0;
       try {
-        std::size_t pos = 0;
-        v = std::stod(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument("trailing");
-      } catch (const std::exception&) {
+        v = one.GetDouble(flag.name, 0.0);
+      } catch (const std::invalid_argument&) {
         fail("'" + value + "' is not a number");
       }
       if (flag.double_check) {
@@ -187,12 +202,9 @@ void FlagSet::Validate(const Flag& flag, const std::string& value) const {
       break;
     }
     case Kind::kBool: {
-      std::string v = value;
-      std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-      });
-      if (v != "true" && v != "false" && v != "1" && v != "0" && v != "yes" &&
-          v != "no" && v != "on" && v != "off") {
+      try {
+        one.GetBool(flag.name, false);
+      } catch (const std::invalid_argument&) {
         fail("'" + value + "' is not a bool (true/false)");
       }
       break;
@@ -205,30 +217,16 @@ void FlagSet::Validate(const Flag& flag, const std::string& value) const {
       break;
     }
     case Kind::kEnum: {
-      if (std::find(flag.enum_values.begin(), flag.enum_values.end(), value) ==
-          flag.enum_values.end()) {
-        std::string choices;
-        for (const std::string& v : flag.enum_values) {
-          if (!choices.empty()) choices += "|";
-          choices += v;
-        }
+      const bool accepted =
+          flag.enum_accepts
+              ? flag.enum_accepts(value)
+              : std::find(flag.enum_values.begin(), flag.enum_values.end(),
+                          value) != flag.enum_values.end();
+      if (!accepted) {
         // Same did-you-mean policy as unknown flag names, applied to the
-        // value space: suggest the closest allowed value when plausible.
-        const std::string* best = nullptr;
-        std::size_t best_distance = 0;
-        for (const std::string& v : flag.enum_values) {
-          const std::size_t d = EditDistance(value, v);
-          if (best == nullptr || d < best_distance) {
-            best = &v;
-            best_distance = d;
-          }
-        }
-        std::string message = "'" + value + "' is not one of " + choices;
-        if (best != nullptr &&
-            best_distance <= std::max<std::size_t>(2, value.size() / 3)) {
-          message += "; did you mean '" + *best + "'?";
-        }
-        fail(message);
+        // value space.
+        fail("'" + value + "' is not one of " + Join(flag.enum_values) +
+             Suggestion(value, flag.enum_values));
       }
       break;
     }
@@ -254,11 +252,9 @@ Config FlagSet::Parse(int argc, const char* const* argv, int first) {
     const std::string value = token.substr(eq + 1);
     if (key == "config") {
       const Config file = Config::FromFile(value);
+      Validate(file);
       for (const std::string& file_key : file.keys()) {
-        const auto it = index_.find(file_key);
-        if (it == index_.end()) ThrowUnknown(file_key);
         for (const std::string& file_value : file.GetList(file_key)) {
-          Validate(flags_[it->second], file_value);
           from_file.Append(file_key, file_value);
         }
       }
@@ -290,14 +286,9 @@ std::string FlagSet::Help() const {
     oss << '\n';
   };
   for (const Flag& flag : flags_) {
-    std::string type = KindName(static_cast<int>(flag.kind));
-    if (flag.kind == Kind::kEnum) {
-      type.clear();
-      for (const std::string& v : flag.enum_values) {
-        if (!type.empty()) type += "|";
-        type += v;
-      }
-    }
+    const std::string type = flag.kind == Kind::kEnum
+                                 ? Join(flag.enum_values)
+                                 : kKindNames[static_cast<int>(flag.kind)];
     line(flag.name, type, flag.def, flag.doc);
   }
   line("config", "file", "",

@@ -12,7 +12,8 @@
 //
 // Parse rejects unknown keys (with a did-you-mean suggestion) and
 // malformed or out-of-range values, and auto-handles two flags every
-// driver shares:
+// driver shares (Validate applies the same checks to an already-built
+// Config, e.g. one read from a job spec):
 //
 //   help          (also --help / -h) print the generated help text
 //   config=<file> load key=value defaults from a file; explicit
@@ -38,9 +39,9 @@ namespace gnoc {
 
 /// Thrown on CLI misuse: unknown flag, malformed value, failed validation.
 /// Drivers catch it at top level and exit non-zero with the message.
-class CliError : public std::runtime_error {
+class CliError : public std::invalid_argument {
  public:
-  using std::runtime_error::runtime_error;
+  using std::invalid_argument::invalid_argument;
 };
 
 /// A typed flag registry with generated help text.
@@ -61,17 +62,31 @@ class FlagSet {
   FlagSet& AddString(const std::string& name, const std::string& def,
                      const std::string& doc, StringCheck check = nullptr);
   /// A string flag restricted to `values` (listed in the help text).
+  /// `accepts`, when set, decides instead which spellings are valid (e.g.
+  /// aliases); `values` stay the help list and the suggestion set.
   FlagSet& AddEnum(const std::string& name, const std::string& def,
-                   const std::string& doc, std::vector<std::string> values);
-  /// Same, taking the canonical names straight from an enum registry so
-  /// flag choices and the Parse* function can never drift apart.
+                   const std::string& doc, std::vector<std::string> values,
+                   std::function<bool(const std::string&)> accepts = nullptr);
+  /// Same, backed by an enum registry: the help lists its canonical names
+  /// and the flag accepts exactly what its Parse accepts, so flag choices
+  /// and the Parse* function can never drift apart.
   template <typename E>
   FlagSet& AddEnum(const std::string& name, const std::string& def,
                    const std::string& doc, const EnumRegistry<E>& registry) {
-    return AddEnum(name, def, doc, registry.CanonicalNames());
+    return AddEnum(name, def, doc, registry.CanonicalNames(),
+                   [&registry](const std::string& v) {
+                     return registry.Accepts(v);
+                   });
   }
 
   bool Contains(const std::string& name) const;
+
+  /// Registered flag names in registration order.
+  std::vector<std::string> Names() const;
+
+  /// Checks every key and value of `config` as Parse checks argv: throws
+  /// CliError on an unknown key or a malformed or out-of-range value.
+  void Validate(const Config& config) const;
 
   /// Parses "key=value" tokens from argv[first..). Loads `config=<file>`
   /// first when present, then lets command-line values win. Repeated
@@ -100,6 +115,7 @@ class FlagSet {
     std::string def;  ///< default rendered as text (help only)
     std::string doc;
     std::vector<std::string> enum_values;
+    std::function<bool(const std::string&)> enum_accepts;
     IntCheck int_check;
     DoubleCheck double_check;
     StringCheck string_check;
@@ -117,5 +133,31 @@ class FlagSet {
   std::map<std::string, std::size_t> index_;
   bool help_requested_ = false;
 };
+
+/// An IntCheck for flags that must be >= `min` ("must be >= <min>").
+inline FlagSet::IntCheck AtLeast(std::int64_t min) {
+  return [min](std::int64_t v) {
+    return v < min ? "must be >= " + std::to_string(min) : std::string();
+  };
+}
+
+/// A DoubleCheck for flags that must be > 0.
+inline FlagSet::DoubleCheck Positive() {
+  return [](double v) { return v <= 0.0 ? "must be > 0" : std::string(); };
+}
+
+/// A StringCheck that runs a Parse* function on the value and reports
+/// what it throws, so the flag accepts exactly what the parser accepts.
+template <typename Parse>
+FlagSet::StringCheck ParsedBy(Parse parse) {
+  return [parse](const std::string& v) -> std::string {
+    try {
+      parse(v);
+      return "";
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+  };
+}
 
 }  // namespace gnoc

@@ -48,13 +48,13 @@ class EnumRegistry {
   /// Parses a name or alias (case-insensitive). Throws
   /// std::invalid_argument listing the canonical choices on a miss.
   E Parse(const std::string& text) const {
-    const std::string needle = enum_registry_detail::AsciiLower(text);
-    for (const Entry& e : entries_) {
-      if (enum_registry_detail::AsciiLower(e.name) == needle) return e.value;
-    }
+    if (const Entry* e = Find(text)) return e->value;
     throw std::invalid_argument(std::string(subject_) + " must be " +
                                 Choices());
   }
+
+  /// True when Parse accepts `text`.
+  bool Accepts(const std::string& text) const { return Find(text) != nullptr; }
 
   /// Canonical (first-registered) name of `value`.
   const char* Name(E value) const {
@@ -88,6 +88,14 @@ class EnumRegistry {
   }
 
  private:
+  const Entry* Find(const std::string& text) const {
+    const std::string needle = enum_registry_detail::AsciiLower(text);
+    for (const Entry& e : entries_) {
+      if (enum_registry_detail::AsciiLower(e.name) == needle) return &e;
+    }
+    return nullptr;
+  }
+
   const char* subject_;
   std::vector<Entry> entries_;
 };

@@ -1,9 +1,12 @@
 #include "dse/job.hpp"
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/json.hpp"
 
@@ -32,13 +35,31 @@ std::string ScalarToString(const JsonValue& v) {
   }
 }
 
-/// A JSON object of GpuConfig::ApplyOverrides keys -> Config.
+/// A JSON object of GpuConfig override keys -> Config, checked against
+/// the same key table as the flags.
 Config ParseOverrides(const JsonValue& obj) {
   Config cfg;
   for (const auto& [key, value] : obj.AsObject()) {
     cfg.Set(key, ScalarToString(value));
   }
+  ValidateGpuConfigKeys(cfg);
   return cfg;
+}
+
+constexpr double kIntMax = std::numeric_limits<int>::max();
+
+/// A job-level number in [0, max], an integer unless T is double. JSON
+/// numbers are doubles, which hold every integer up to 2^53 exactly.
+template <typename T>
+T InRange(const JsonValue& v, const char* field, double max = 0x1p53) {
+  const double d = v.AsNumber();
+  const bool integral = !std::is_floating_point_v<T>;
+  if (!(d >= 0.0 && d <= max) || (integral && d != std::floor(d))) {
+    throw std::invalid_argument(std::string(field) + ": must be " +
+                                (integral ? "an integer " : "") + "in [0, " +
+                                JsonNumber(max) + "], got " + JsonNumber(d));
+  }
+  return static_cast<T>(d);
 }
 
 std::vector<std::string> ParseStringArray(const JsonValue& arr) {
@@ -119,13 +140,13 @@ JobSpec JobSpec::Parse(const JsonValue& doc) {
     }
   }
   if (const JsonValue* v = doc.Find("warmup")) {
-    spec.lengths.warmup = static_cast<Cycle>(v->AsNumber());
+    spec.lengths.warmup = InRange<Cycle>(*v, "warmup");
   }
   if (const JsonValue* v = doc.Find("measure")) {
-    spec.lengths.measure = static_cast<Cycle>(v->AsNumber());
+    spec.lengths.measure = InRange<Cycle>(*v, "measure");
   }
   if (const JsonValue* v = doc.Find("threads")) {
-    spec.threads = static_cast<int>(v->AsNumber());
+    spec.threads = InRange<int>(*v, "threads", kIntMax);
   }
   if (const JsonValue* v = doc.Find("base")) {
     spec.base_overrides = ParseOverrides(*v);
@@ -167,19 +188,19 @@ JobSpec JobSpec::Parse(const JsonValue& doc) {
     }
   }
   if (const JsonValue* v = doc.Find("population")) {
-    spec.population = static_cast<int>(v->AsNumber());
+    spec.population = InRange<int>(*v, "population", kIntMax);
   }
   if (const JsonValue* v = doc.Find("max_evaluations")) {
-    spec.max_evaluations = static_cast<int>(v->AsNumber());
+    spec.max_evaluations = InRange<int>(*v, "max_evaluations", kIntMax);
   }
   if (const JsonValue* v = doc.Find("seed")) {
-    spec.seed = static_cast<std::uint64_t>(v->AsNumber());
+    spec.seed = InRange<std::uint64_t>(*v, "seed");
   }
   if (const JsonValue* v = doc.Find("crossover_rate")) {
-    spec.crossover_rate = v->AsNumber();
+    spec.crossover_rate = InRange<double>(*v, "crossover_rate", 1.0);
   }
   if (const JsonValue* v = doc.Find("mutation_rate")) {
-    spec.mutation_rate = v->AsNumber();
+    spec.mutation_rate = InRange<double>(*v, "mutation_rate", 1.0);
   }
   return spec;
 }

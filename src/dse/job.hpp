@@ -26,10 +26,16 @@
 //              "vc_policies": ["split", "mono"], "topologies": ["mesh"],
 //              "vc_counts": [2, 4], "vc_depths": [2, 4]}}
 //
-// "config"/"base" objects hold GpuConfig::ApplyOverrides keys with JSON
-// values (numbers/bools/strings). A missing "space" means the full paper
-// space (DesignSpace::Default); a present one starts from the baseline
-// single-point space and overrides the listed axes.
+// "config"/"base" objects hold GpuConfig override keys with JSON values
+// (numbers/bools/strings), checked against the same key table as the
+// command-line flags (ValidateGpuConfigKeys): an unknown key fails with a
+// did-you-mean suggestion and a bad value with the flag's message, e.g.
+// "warps: must be >= 1". Job-level counts (warmup, measure, threads,
+// population, max_evaluations, seed) must be integers in [0, 2^53] (int
+// fields: [0, INT_MAX]) and crossover_rate/mutation_rate lie in [0, 1]. A
+// missing "space" means the full paper space (DesignSpace::Default); a
+// present one starts from the baseline single-point space and overrides
+// the listed axes.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +90,8 @@ struct JobSpec {
   double mutation_rate = 0.0;
 
   /// Parses a spec document. Throws std::invalid_argument on malformed
-  /// JSON, unknown enum names or a missing/unknown "type".
+  /// JSON, unknown enum names, a missing/unknown "type", an unknown or
+  /// out-of-range config key, or an out-of-range job-level number.
   static JobSpec Parse(const std::string& json_text);
   static JobSpec Parse(const JsonValue& doc);
 

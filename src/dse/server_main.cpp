@@ -62,12 +62,8 @@ int main(int argc, char** argv) {
                     return v.empty() ? "spool directory is required"
                                      : std::string();
                   });
-  flags.AddInt("jobs", 2, "concurrently running jobs", [](std::int64_t v) {
-    return v < 1 ? "must be >= 1" : std::string();
-  });
-  flags.AddInt("poll_ms", 200, "spool scan interval (ms)", [](std::int64_t v) {
-    return v < 1 ? "must be >= 1" : std::string();
-  });
+  flags.AddInt("jobs", 2, "concurrently running jobs", gnoc::AtLeast(1));
+  flags.AddInt("poll_ms", 200, "spool scan interval (ms)", gnoc::AtLeast(1));
   flags.AddBool("once", false, "drain the current backlog, then exit");
   flags.AddBool("stdin", false,
                 "also accept job specs / cancel / quit lines on stdin");

@@ -1,31 +1,29 @@
 #include "noc/arbiter.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <cctype>
-#include <stdexcept>
 
 #include "common/serialize.hpp"
 
 namespace gnoc {
 
+const EnumRegistry<ArbiterKind>& ArbiterKindRegistry() {
+  static const EnumRegistry<ArbiterKind> kRegistry{
+      "arbiter",
+      {
+          {"round-robin", ArbiterKind::kRoundRobin},
+          {"rr", ArbiterKind::kRoundRobin},
+          {"roundrobin", ArbiterKind::kRoundRobin},
+          {"matrix", ArbiterKind::kMatrix},
+      }};
+  return kRegistry;
+}
+
 const char* ArbiterKindName(ArbiterKind k) {
-  switch (k) {
-    case ArbiterKind::kRoundRobin: return "round-robin";
-    case ArbiterKind::kMatrix: return "matrix";
-  }
-  return "?";
+  return ArbiterKindRegistry().Name(k);
 }
 
 ArbiterKind ParseArbiterKind(const std::string& name) {
-  std::string lower = name;
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "rr" || lower == "round-robin" || lower == "roundrobin") {
-    return ArbiterKind::kRoundRobin;
-  }
-  if (lower == "matrix") return ArbiterKind::kMatrix;
-  throw std::invalid_argument("unknown arbiter kind: '" + name + "'");
+  return ArbiterKindRegistry().Parse(name);
 }
 
 Arbiter::Arbiter(std::size_t num_inputs) : num_inputs_(num_inputs) {

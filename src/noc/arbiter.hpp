@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_registry.hpp"
+
 namespace gnoc {
 
 class Serializer;
@@ -20,6 +22,9 @@ enum class ArbiterKind : std::uint8_t {
   kRoundRobin = 0,  ///< rotating priority (the low-cost default)
   kMatrix = 1,      ///< least-recently-served (strong fairness, more area)
 };
+
+/// The name/alias table behind ArbiterKindName and ParseArbiterKind.
+const EnumRegistry<ArbiterKind>& ArbiterKindRegistry();
 
 /// Human readable name ("round-robin" / "matrix").
 const char* ArbiterKindName(ArbiterKind k);

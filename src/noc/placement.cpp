@@ -2,33 +2,30 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <set>
 #include <stdexcept>
 
 namespace gnoc {
 
+const EnumRegistry<McPlacement>& McPlacementRegistry() {
+  static const EnumRegistry<McPlacement> kRegistry{
+      "placement",
+      {
+          {"bottom", McPlacement::kBottom},
+          {"edge", McPlacement::kEdge},
+          {"top-bottom", McPlacement::kTopBottom},
+          {"topbottom", McPlacement::kTopBottom},
+          {"diamond", McPlacement::kDiamond},
+      }};
+  return kRegistry;
+}
+
 const char* McPlacementName(McPlacement p) {
-  switch (p) {
-    case McPlacement::kBottom: return "bottom";
-    case McPlacement::kEdge: return "edge";
-    case McPlacement::kTopBottom: return "top-bottom";
-    case McPlacement::kDiamond: return "diamond";
-  }
-  return "?";
+  return McPlacementRegistry().Name(p);
 }
 
 McPlacement ParseMcPlacement(const std::string& name) {
-  std::string lower = name;
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "bottom") return McPlacement::kBottom;
-  if (lower == "edge") return McPlacement::kEdge;
-  if (lower == "top-bottom" || lower == "topbottom") {
-    return McPlacement::kTopBottom;
-  }
-  if (lower == "diamond") return McPlacement::kDiamond;
-  throw std::invalid_argument("unknown MC placement: '" + name + "'");
+  return McPlacementRegistry().Parse(name);
 }
 
 namespace {

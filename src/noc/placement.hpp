@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_registry.hpp"
 #include "common/types.hpp"
 
 namespace gnoc {
@@ -29,6 +30,9 @@ enum class McPlacement : std::uint8_t {
 inline constexpr McPlacement kAllPlacements[] = {
     McPlacement::kBottom, McPlacement::kEdge, McPlacement::kTopBottom,
     McPlacement::kDiamond};
+
+/// The name/alias table behind McPlacementName and ParseMcPlacement.
+const EnumRegistry<McPlacement>& McPlacementRegistry();
 
 /// Human readable name.
 const char* McPlacementName(McPlacement p);

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/enum_registry.hpp"
 #include "common/json.hpp"
 #include "common/serialize.hpp"
@@ -13,17 +12,6 @@
 namespace gnoc {
 
 namespace {
-
-const EnumRegistry<QosArbitration> kQosArbitrationRegistry{
-    "qos",
-    {
-        {"none", QosArbitration::kNone},
-        {"off", QosArbitration::kNone},
-        {"strict", QosArbitration::kStrict},
-        {"priority", QosArbitration::kStrict},
-        {"wrr", QosArbitration::kWrr},
-        {"weighted", QosArbitration::kWrr},
-    }};
 
 std::int64_t ParseSpecInt(const std::string& key, const std::string& text) {
   try {
@@ -69,12 +57,26 @@ std::uint64_t HashStr(std::uint64_t h, const std::string& s) {
 
 }  // namespace
 
+const EnumRegistry<QosArbitration>& QosArbitrationRegistry() {
+  static const EnumRegistry<QosArbitration> kRegistry{
+      "qos",
+      {
+          {"none", QosArbitration::kNone},
+          {"off", QosArbitration::kNone},
+          {"strict", QosArbitration::kStrict},
+          {"priority", QosArbitration::kStrict},
+          {"wrr", QosArbitration::kWrr},
+          {"weighted", QosArbitration::kWrr},
+      }};
+  return kRegistry;
+}
+
 const char* QosArbitrationName(QosArbitration a) {
-  return kQosArbitrationRegistry.Name(a);
+  return QosArbitrationRegistry().Name(a);
 }
 
 QosArbitration ParseQosArbitration(const std::string& text) {
-  return kQosArbitrationRegistry.Parse(text);
+  return QosArbitrationRegistry().Parse(text);
 }
 
 std::array<TrafficClassSpec, kNumClasses> QosConfig::DefaultClasses() {
@@ -169,21 +171,6 @@ TrafficClassSpec ParseTrafficClassSpec(const std::string& text) {
     }
   }
   return spec;
-}
-
-void ApplyQosOverrides(QosConfig& qos, const Config& overrides) {
-  if (overrides.Contains("qos")) {
-    qos.arbitration = ParseQosArbitration(overrides.GetString("qos"));
-  }
-  const std::vector<std::string> specs = overrides.GetList("qos_class");
-  if (specs.size() > static_cast<std::size_t>(kNumClasses)) {
-    throw std::invalid_argument(
-        "qos_class: at most " + std::to_string(kNumClasses) +
-        " classes are modelled, got " + std::to_string(specs.size()));
-  }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    qos.classes[i] = ParseTrafficClassSpec(specs[i]);
-  }
 }
 
 std::uint64_t HashQosConfig(std::uint64_t h, const QosConfig& qos) {

@@ -20,11 +20,11 @@
 #include <cstdint>
 #include <string>
 
+#include "common/enum_registry.hpp"
 #include "common/types.hpp"
 
 namespace gnoc {
 
-class Config;
 class JsonWriter;
 class Serializer;
 class Deserializer;
@@ -51,6 +51,8 @@ enum class QosArbitration : std::uint8_t {
   kWrr = 2,     ///< weighted round-robin, weight = max(1, priority)
 };
 
+/// The name/alias table behind QosArbitrationName and ParseQosArbitration.
+const EnumRegistry<QosArbitration>& QosArbitrationRegistry();
 const char* QosArbitrationName(QosArbitration a);
 QosArbitration ParseQosArbitration(const std::string& text);
 
@@ -88,11 +90,6 @@ struct QosConfig {
 /// replaces class i wholesale (unlisted knobs go to their zero default).
 /// Throws std::invalid_argument on malformed input.
 TrafficClassSpec ParseTrafficClassSpec(const std::string& text);
-
-/// Applies the `qos=` mode flag and repeated `qos_class=` occurrences
-/// from `overrides` onto `qos`. Throws when more classes are given than
-/// the simulator models (kNumClasses).
-void ApplyQosOverrides(QosConfig& qos, const Config& overrides);
 
 /// Folds every behaviour-affecting QoS knob into an FNV-1a style hash
 /// accumulator (used by the GpuConfig fingerprint; names included since

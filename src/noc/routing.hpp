@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_registry.hpp"
 #include "common/types.hpp"
 
 namespace gnoc {
@@ -23,6 +24,9 @@ enum class RoutingAlgorithm : std::uint8_t {
   kYX = 1,
   kXYYX = 2,  ///< request: XY, reply: YX
 };
+
+/// The name/alias table behind RoutingName and ParseRouting.
+const EnumRegistry<RoutingAlgorithm>& RoutingRegistry();
 
 /// Human readable name ("XY", "YX", "XY-YX").
 const char* RoutingName(RoutingAlgorithm r);

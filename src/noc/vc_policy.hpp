@@ -37,6 +37,7 @@
 #include <array>
 #include <string>
 
+#include "common/enum_registry.hpp"
 #include "common/types.hpp"
 
 namespace gnoc {
@@ -49,6 +50,9 @@ enum class VcPolicyKind : std::uint8_t {
   kAsymmetric = 3,
   kDynamic = 4,
 };
+
+/// The name/alias table behind VcPolicyName and ParseVcPolicy.
+const EnumRegistry<VcPolicyKind>& VcPolicyRegistry();
 
 /// Human readable name.
 const char* VcPolicyName(VcPolicyKind k);

@@ -1,7 +1,12 @@
 #include "sim/gpu_config.hpp"
 
+#include <algorithm>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/enum_registry.hpp"
@@ -33,180 +38,220 @@ const EnumRegistry<McScheduler>& McSchedulerRegistry() {
   return kRegistry;
 }
 
+/// One GpuConfig override key, the only place it is declared: `declare`
+/// registers its type, default, help text and range check on a FlagSet,
+/// and `apply` stores a value that passed those checks.
+struct GpuConfigKey {
+  std::string name;
+  std::function<void(FlagSet&)> declare;
+  std::function<void(GpuConfig&, const Config&)> apply;
+};
+
+/// The member a key sets, reached through a member-pointer path such as
+/// (&GpuConfig::sm, &SmConfig::warps_per_sm).
+template <typename... Path>
+auto& Field(GpuConfig& c, Path... path) {
+  return (c .* ... .* path);
+}
+
+template <typename... Path>
+GpuConfigKey IntKey(const char* name, std::int64_t min, const char* doc,
+                    Path... path) {
+  GpuConfig def;
+  const auto def_value = static_cast<std::int64_t>(Field(def, path...));
+  return {name,
+          [=](FlagSet& f) { f.AddInt(name, def_value, doc, AtLeast(min)); },
+          [=](GpuConfig& c, const Config& o) {
+            auto& v = Field(c, path...);
+            v = static_cast<std::remove_reference_t<decltype(v)>>(
+                o.GetInt(name, 0));
+          }};
+}
+
+template <typename... Path>
+GpuConfigKey BoolKey(const char* name, const char* doc, Path... path) {
+  GpuConfig def;
+  const bool def_value = Field(def, path...);
+  return {name, [=](FlagSet& f) { f.AddBool(name, def_value, doc); },
+          [=](GpuConfig& c, const Config& o) {
+            Field(c, path...) = o.GetBool(name, false);
+          }};
+}
+
+/// A key backed by an enum registry: the flag lists its canonical names
+/// and accepts every alias its Parse accepts.
+template <typename E, typename... Path>
+GpuConfigKey EnumKey(const char* name, const char* doc,
+                     const EnumRegistry<E>& registry, Path... path) {
+  GpuConfig def;
+  const std::string def_name = registry.Name(Field(def, path...));
+  const EnumRegistry<E>* reg = &registry;  // a function-local static
+  return {name, [=](FlagSet& f) { f.AddEnum(name, def_name, doc, *reg); },
+          [=](GpuConfig& c, const Config& o) {
+            Field(c, path...) = reg->Parse(o.GetString(name));
+          }};
+}
+
+/// Every override key, in the order ApplyOverrides applies them (radix
+/// after width/height, so it wins over them; num_mcs after radix, so an
+/// explicit num_mcs wins over the shorthand) and help lists them.
+const std::vector<GpuConfigKey>& GpuConfigKeys() {
+  using G = GpuConfig;
+  static const std::vector<GpuConfigKey> kKeys = {
+      IntKey("width", 1, "tile grid width", &G::width),
+      IntKey("height", 1, "tile grid height", &G::height),
+      // Square-grid shorthand, the paper's scaling: N MCs in an N x N
+      // grid, one per bottom-row column, which keeps the classes
+      // link-disjoint under DOR.
+      {"radix",
+       [](FlagSet& f) {
+         f.AddInt("radix", G{}.width,
+                  "square-grid shorthand: width = height = num_mcs = radix",
+                  AtLeast(2));
+       },
+       [](GpuConfig& c, const Config& o) {
+         const int n = static_cast<int>(o.GetInt("radix", 0));
+         c.width = c.height = c.num_mcs = n;
+       }},
+      IntKey("num_mcs", 1, "number of memory controllers", &G::num_mcs),
+      EnumKey("topology", "interconnect topology", TopologyRegistry(),
+              &G::topology),
+      IntKey("circulant_s1", 1, "circulant chord step s1 (topology=circulant)",
+             &G::circulant_s1),
+      IntKey("circulant_s2", 0, "circulant chord step s2 (0 = near-sqrt(N))",
+             &G::circulant_s2),
+      EnumKey("placement", "MC placement", McPlacementRegistry(),
+              &G::placement),
+      EnumKey("routing", "routing algorithm", RoutingRegistry(), &G::routing),
+      EnumKey("vc_policy", "VC policy (aliases: mono, partial, asym, ...)",
+              VcPolicyRegistry(), &G::vc_policy),
+      IntKey("num_vcs", 1,
+             "VCs per port (dateline topologies need >= 4 under split)",
+             &G::num_vcs),
+      IntKey("vc_depth", 1, "flit slots per VC", &G::vc_depth),
+      IntKey("dynamic_epoch", 1,
+             "cycles per dynamic VC partitioning epoch (vc_policy=dynamic)",
+             &G::dynamic_epoch),
+      BoolKey("allow_unsafe", "allow protocol-deadlock-unsafe configurations",
+              &G::allow_unsafe),
+      EnumKey("division", "request/reply network division",
+              DivisionRegistry(), &G::division),
+      BoolKey("atomic_vc_realloc", "conservative (atomic) VC reallocation",
+              &G::atomic_vc_realloc),
+      BoolKey("record_trace", "record every injected packet",
+              &G::record_trace),
+      BoolKey("audit", "run the NoC invariant auditor", &G::audit),
+      IntKey("audit_interval", 1, "cycles between auditor sweeps",
+             &G::audit_interval),
+      BoolKey("telemetry", "run the NoC telemetry sampler", &G::telemetry),
+      IntKey("telemetry_interval", 1, "cycles between telemetry samples",
+             &G::telemetry_interval),
+      IntKey("telemetry_max_windows", 0, "telemetry window cap (0 = unbounded)",
+             &G::telemetry_max_windows),
+      EnumKey("scheduling",
+              "NoC component scheduling (soa skips idle routers and links, "
+              "bit-identically)",
+              SchedulingRegistry(), &G::scheduling),
+      EnumKey("qos", "QoS arbitration discipline", QosArbitrationRegistry(),
+              &G::qos, &QosConfig::arbitration),
+      // Positional and repeatable: the i-th non-empty occurrence replaces
+      // class i wholesale.
+      {"qos_class",
+       [](FlagSet& f) {
+         f.AddString("qos_class", "",
+                     "traffic class spec '<name>[,prio=N][,rate=X][,burst=N]"
+                     "[,vcs=N][,p99=X]' (repeatable; i-th occurrence = class "
+                     "i: request, reply)",
+                     [](const std::string& v) {
+                       return v.empty() ? std::string()
+                                        : ParsedBy(ParseTrafficClassSpec)(v);
+                     });
+       },
+       [](GpuConfig& c, const Config& o) {
+         std::vector<std::string> specs = o.GetList("qos_class");
+         std::erase(specs, "");
+         if (specs.size() > static_cast<std::size_t>(kNumClasses)) {
+           throw std::invalid_argument(
+               "qos_class: at most " + std::to_string(kNumClasses) +
+               " classes are modelled, got " + std::to_string(specs.size()));
+         }
+         for (std::size_t i = 0; i < specs.size(); ++i) {
+           c.qos.classes[i] = ParseTrafficClassSpec(specs[i]);
+         }
+       }},
+      BoolKey("ideal_noc",
+              "replace the NoC with the contention-free ideal fabric",
+              &G::ideal_noc),
+      IntKey("mc_inject_bw", 1, "MC NIC injection bandwidth (flits/cycle)",
+             &G::mc_inject_flits_per_cycle),
+      EnumKey("mc_scheduler", "MC request scheduling", McSchedulerRegistry(),
+              &G::mc, &McConfig::scheduler),
+      EnumKey("arbiter", "VA/SA arbiter", ArbiterKindRegistry(), &G::arbiter),
+      IntKey("warps", 1, "warps per SM", &G::sm, &SmConfig::warps_per_sm),
+      IntKey("mshr", 1, "MSHR entries per SM", &G::sm, &SmConfig::mshr_entries),
+      BoolKey("real_l1",
+              "model the L1 structurally instead of probabilistically",
+              &G::sm, &SmConfig::use_real_l1),
+      IntKey("l2_latency", 0, "MC-side L2 read service latency", &G::mc,
+             &McConfig::l2_latency),
+      IntKey("seed", std::numeric_limits<std::int64_t>::min(),
+             "master RNG seed", &G::seed),
+  };
+  return kKeys;
+}
+
+/// The key table as a FlagSet: the one validator of every override value.
+const FlagSet& GpuConfigFlags() {
+  static const FlagSet kFlags = [] {
+    FlagSet flags("gpu_config", "GpuConfig override keys");
+    RegisterGpuConfigFlags(flags);
+    return flags;
+  }();
+  return kFlags;
+}
+
 }  // namespace
 
 GpuConfig GpuConfig::Baseline() { return GpuConfig{}; }
 
 void GpuConfig::ApplyOverrides(const Config& overrides) {
-  width = static_cast<int>(overrides.GetInt("width", width));
-  height = static_cast<int>(overrides.GetInt("height", height));
-  if (overrides.Contains("radix")) {
-    // Square-grid shorthand: radix=16 == width=16 height=16 num_mcs=16 —
-    // the paper's scaling (N MCs in an N x N grid, one per bottom-row
-    // column, which keeps the classes link-disjoint under DOR). An
-    // explicit num_mcs= still wins below.
-    const int n = static_cast<int>(overrides.GetInt("radix", width));
-    width = n;
-    height = n;
-    num_mcs = n;
+  // Keys that are not GpuConfig keys belong to the caller (drivers pass
+  // their whole parsed command line through here) and are ignored.
+  Config own;
+  for (const GpuConfigKey& key : GpuConfigKeys()) {
+    for (const std::string& value : overrides.GetList(key.name)) {
+      own.Append(key.name, value);
+    }
   }
-  num_mcs = static_cast<int>(overrides.GetInt("num_mcs", num_mcs));
-  if (overrides.Contains("placement")) {
-    placement = ParseMcPlacement(overrides.GetString("placement"));
+  GpuConfigFlags().Validate(own);
+  GpuConfig next = *this;  // a setter can still throw (too many qos_class)
+  for (const GpuConfigKey& key : GpuConfigKeys()) {
+    if (own.Contains(key.name)) key.apply(next, own);
   }
-  if (overrides.Contains("topology")) {
-    topology = ParseTopology(overrides.GetString("topology"));
-  }
-  circulant_s1 =
-      static_cast<int>(overrides.GetInt("circulant_s1", circulant_s1));
-  circulant_s2 =
-      static_cast<int>(overrides.GetInt("circulant_s2", circulant_s2));
-  if (overrides.Contains("routing")) {
-    routing = ParseRouting(overrides.GetString("routing"));
-  }
-  if (overrides.Contains("vc_policy")) {
-    vc_policy = ParseVcPolicy(overrides.GetString("vc_policy"));
-  }
-  num_vcs = static_cast<int>(overrides.GetInt("num_vcs", num_vcs));
-  vc_depth = static_cast<int>(overrides.GetInt("vc_depth", vc_depth));
-  dynamic_epoch = static_cast<Cycle>(overrides.GetInt(
-      "dynamic_epoch", static_cast<std::int64_t>(dynamic_epoch)));
-  allow_unsafe = overrides.GetBool("allow_unsafe", allow_unsafe);
-  if (overrides.Contains("division")) {
-    division = DivisionRegistry().Parse(overrides.GetString("division"));
-  }
-  atomic_vc_realloc =
-      overrides.GetBool("atomic_vc_realloc", atomic_vc_realloc);
-  record_trace = overrides.GetBool("record_trace", record_trace);
-  audit = overrides.GetBool("audit", audit);
-  audit_interval = static_cast<Cycle>(overrides.GetInt(
-      "audit_interval", static_cast<std::int64_t>(audit_interval)));
-  telemetry = overrides.GetBool("telemetry", telemetry);
-  telemetry_interval = static_cast<Cycle>(overrides.GetInt(
-      "telemetry_interval", static_cast<std::int64_t>(telemetry_interval)));
-  telemetry_max_windows = static_cast<std::size_t>(overrides.GetInt(
-      "telemetry_max_windows",
-      static_cast<std::int64_t>(telemetry_max_windows)));
-  if (overrides.Contains("scheduling")) {
-    scheduling = ParseSchedulingMode(overrides.GetString("scheduling"));
-  }
-  ideal_noc = overrides.GetBool("ideal_noc", ideal_noc);
-  mc_inject_flits_per_cycle = static_cast<int>(overrides.GetInt(
-      "mc_inject_bw", mc_inject_flits_per_cycle));
-  if (overrides.Contains("mc_scheduler")) {
-    mc.scheduler =
-        McSchedulerRegistry().Parse(overrides.GetString("mc_scheduler"));
-  }
-  if (overrides.Contains("arbiter")) {
-    arbiter = ParseArbiterKind(overrides.GetString("arbiter"));
-  }
-  ApplyQosOverrides(qos, overrides);
-  sm.warps_per_sm =
-      static_cast<int>(overrides.GetInt("warps", sm.warps_per_sm));
-  sm.mshr_entries =
-      static_cast<int>(overrides.GetInt("mshr", sm.mshr_entries));
-  sm.use_real_l1 = overrides.GetBool("real_l1", sm.use_real_l1);
-  mc.l2_latency = static_cast<Cycle>(
-      overrides.GetInt("l2_latency", static_cast<std::int64_t>(mc.l2_latency)));
-  seed = static_cast<std::uint64_t>(
-      overrides.GetInt("seed", static_cast<std::int64_t>(seed)));
+  *this = next;
+}
+
+void ValidateGpuConfigKeys(const Config& overrides) {
+  GpuConfigFlags().Validate(overrides);
 }
 
 void RegisterGpuConfigFlags(FlagSet& flags) {
-  const GpuConfig def;
-  // The enum-ish keys accept the aliases their Parse* functions accept
-  // (e.g. routing xyyx/xy-yx), so they register as validated strings
-  // rather than strict enums.
-  const auto parsed_by = [](auto parser) {
-    return [parser](const std::string& v) -> std::string {
-      try {
-        parser(v);
-        return "";
-      } catch (const std::exception& e) {
-        return e.what();
-      }
-    };
-  };
-  const auto at_least = [](std::int64_t min) {
-    return [min](std::int64_t v) {
-      return v < min ? "must be >= " + std::to_string(min) : std::string();
-    };
-  };
-  flags.AddInt("width", def.width, "tile grid width", at_least(1));
-  flags.AddInt("height", def.height, "tile grid height", at_least(1));
-  flags.AddInt("radix", def.width,
-               "square-grid shorthand: width = height = num_mcs = radix",
-               at_least(2));
-  flags.AddInt("num_mcs", def.num_mcs, "number of memory controllers",
-               at_least(1));
-  flags.AddEnum("topology", "mesh", "interconnect topology",
-                TopologyRegistry());
-  flags.AddInt("circulant_s1", def.circulant_s1,
-               "circulant chord step s1 (topology=circulant)", at_least(1));
-  flags.AddInt("circulant_s2", def.circulant_s2,
-               "circulant chord step s2 (0 = near-sqrt(N))", at_least(0));
-  flags.AddString("placement", "bottom",
-                  "MC placement (bottom|edge|top-bottom|diamond|...)",
-                  parsed_by(ParseMcPlacement));
-  flags.AddString("routing", "xy", "routing algorithm (xy|yx|xy-yx)",
-                  parsed_by(ParseRouting));
-  flags.AddString("vc_policy", "split",
-                  "VC policy (split|mono|partial|asym|dynamic|...)",
-                  parsed_by(ParseVcPolicy));
-  flags.AddInt("num_vcs", def.num_vcs, "VCs per port", at_least(1));
-  flags.AddInt("vc_depth", def.vc_depth, "flit slots per VC", at_least(1));
-  flags.AddInt("dynamic_epoch", static_cast<std::int64_t>(def.dynamic_epoch),
-               "cycles per dynamic VC partitioning epoch (vc_policy=dynamic)",
-               at_least(1));
-  flags.AddBool("allow_unsafe", def.allow_unsafe,
-                "allow protocol-deadlock-unsafe configurations");
-  flags.AddEnum("division", "virtual", "request/reply network division",
-                DivisionRegistry());
-  flags.AddBool("atomic_vc_realloc", def.atomic_vc_realloc,
-                "conservative (atomic) VC reallocation");
-  flags.AddBool("record_trace", def.record_trace,
-                "record every injected packet");
-  flags.AddBool("audit", def.audit, "run the NoC invariant auditor");
-  flags.AddInt("audit_interval", static_cast<std::int64_t>(def.audit_interval),
-               "cycles between auditor sweeps", at_least(1));
-  flags.AddBool("telemetry", def.telemetry, "run the NoC telemetry sampler");
-  flags.AddInt("telemetry_interval",
-               static_cast<std::int64_t>(def.telemetry_interval),
-               "cycles between telemetry samples", at_least(1));
-  flags.AddInt("telemetry_max_windows",
-               static_cast<std::int64_t>(def.telemetry_max_windows),
-               "telemetry window cap (0 = unbounded)", at_least(0));
-  flags.AddString("scheduling", "full",
-                  "NoC component scheduling (full|soa; soa skips idle "
-                  "routers and links, bit-identically)",
-                  parsed_by(ParseSchedulingMode));
-  flags.AddString("qos", "none",
-                  "QoS arbitration discipline (none|strict|wrr)",
-                  parsed_by(ParseQosArbitration));
-  flags.AddString(
-      "qos_class", "",
-      "traffic class spec '<name>[,prio=N][,rate=X][,burst=N][,vcs=N]"
-      "[,p99=X]'; the i-th occurrence configures class i (request, reply)",
-      parsed_by(ParseTrafficClassSpec));
-  flags.AddBool("ideal_noc", def.ideal_noc,
-                "replace the NoC with the contention-free ideal fabric");
-  flags.AddInt("mc_inject_bw", def.mc_inject_flits_per_cycle,
-               "MC NIC injection bandwidth (flits/cycle)", at_least(1));
-  flags.AddString("mc_scheduler", "in-order",
-                  "MC request scheduling (in-order|fr-fcfs)",
-                  parsed_by([](const std::string& v) {
-                    return McSchedulerRegistry().Parse(v);
-                  }));
-  flags.AddString("arbiter", "rr", "VA/SA arbiter (rr|matrix)",
-                  parsed_by(ParseArbiterKind));
-  flags.AddInt("warps", def.sm.warps_per_sm, "warps per SM", at_least(1));
-  flags.AddInt("mshr", def.sm.mshr_entries, "MSHR entries per SM",
-               at_least(1));
-  flags.AddBool("real_l1", def.sm.use_real_l1,
-                "model the L1 structurally instead of probabilistically");
-  flags.AddInt("l2_latency", static_cast<std::int64_t>(def.mc.l2_latency),
-               "MC-side L2 read service latency", at_least(0));
-  flags.AddInt("seed", static_cast<std::int64_t>(def.seed), "master RNG seed");
+  for (const GpuConfigKey& key : GpuConfigKeys()) key.declare(flags);
+}
+
+void RegisterGpuConfigFlags(FlagSet& flags,
+                            const std::vector<std::string>& names) {
+  for (const std::string& name : names) {
+    const auto& keys = GpuConfigKeys();
+    const auto it = std::find_if(keys.begin(), keys.end(),
+                                 [&](const GpuConfigKey& k) {
+                                   return k.name == name;
+                                 });
+    if (it == keys.end()) {
+      throw std::invalid_argument("'" + name + "' is not a GpuConfig key");
+    }
+    it->declare(flags);
+  }
 }
 
 std::string GpuConfig::Describe() const {

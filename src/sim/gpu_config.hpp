@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "gpgpu/mc.hpp"
@@ -111,8 +112,9 @@ struct GpuConfig {
   /// The paper's baseline: bottom MCs, XY routing, 2 VCs split 1:1.
   static GpuConfig Baseline();
 
-  /// Applies "key=value" overrides (keys: width, height, num_mcs, placement,
-  /// routing, vc_policy, num_vcs, vc_depth, warps, mshr, seed, ...).
+  /// Applies the "key=value" overrides RegisterGpuConfigFlags registers
+  /// after the flags' checks; throws std::invalid_argument (e.g. "warps:
+  /// must be >= 1") before changing anything. Other keys are ignored.
   void ApplyOverrides(const Config& overrides);
 
   /// One-line description, e.g. "bottom + XY-YX, partial-monopolize, 2 VCs".
@@ -121,7 +123,17 @@ struct GpuConfig {
 
 /// Registers every ApplyOverrides key on a FlagSet (typed, documented,
 /// validated), so drivers that expose the full configuration surface get
-/// help text and unknown-flag rejection for free.
+/// help text and unknown-flag rejection for free. One table in
+/// gpu_config.cpp declares each key for this and for ApplyOverrides.
 void RegisterGpuConfigFlags(FlagSet& flags);
+/// Registers only the named keys, in the given order. Throws
+/// std::invalid_argument for a name that is not a GpuConfig key.
+void RegisterGpuConfigFlags(FlagSet& flags,
+                            const std::vector<std::string>& names);
+
+/// Checks a Config of nothing but GpuConfig keys (a job spec's "config")
+/// against the key table; throws CliError (a std::invalid_argument) with
+/// the flags' message, with a did-you-mean for an unknown key.
+void ValidateGpuConfigKeys(const Config& overrides);
 
 }  // namespace gnoc

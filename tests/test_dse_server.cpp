@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "bench_util.hpp"
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "dse/job.hpp"
 #include "dse/server.hpp"
@@ -42,6 +44,81 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream oss;
   oss << in.rdbuf();
   return oss.str();
+}
+
+/// A one-scheme sweep job whose "base" object holds `key: value` (a JSON
+/// number).
+std::string SpecWithBase(const std::string& key, const std::string& value) {
+  return R"({"type": "sweep", "workloads": ["BFS"], "warmup": 300,
+             "measure": 1500, "base": {")" +
+         key + "\": " + value + R"(}, "schemes": [{"label": "x"}]})";
+}
+
+/// Bad GpuConfig keys and the one message every input surface gives.
+struct BadKey {
+  std::string key;
+  std::string value;
+  std::string message;
+};
+
+const std::vector<BadKey>& BadKeys() {
+  static const std::vector<BadKey> kBad = {
+      {"warps", "0", "warps: must be >= 1"},
+      {"num_vcs", "0", "num_vcs: must be >= 1"},
+      {"vc_depth", "0", "vc_depth: must be >= 1"},
+      {"radix", "1", "radix: must be >= 2"},
+      {"l2_latency", "-5", "l2_latency: must be >= 0"},
+      {"num_vc", "4",
+       "unknown flag 'num_vc'; did you mean 'num_vcs'? (run with help= for "
+       "the flag list)"},
+  };
+  return kBad;
+}
+
+/// Parses `tokens` through `flags`; returns the error message ("" = ok).
+std::string FlagError(FlagSet& flags, const std::vector<std::string>& tokens) {
+  std::vector<const char*> argv{"prog"};
+  for (const std::string& t : tokens) argv.push_back(t.c_str());
+  try {
+    flags.Parse(static_cast<int>(argv.size()), argv.data());
+  } catch (const CliError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The command-line flags, a config= file, the sweep harnesses' grid flags
+// and a job spec's "base" object all read the one GpuConfig key table, so
+// a bad value or a typo fails with the same message on each of them.
+TEST(InputSurfaceTest, BadGpuConfigKeysFailAlikeOnEverySurface) {
+  const fs::path config_file =
+      fs::temp_directory_path() / "gnoc_input_surface_test.cfg";
+  for (const BadKey& bad : BadKeys()) {
+    const std::string token = bad.key + "=" + bad.value;
+
+    FlagSet driver("quickstart", "");
+    driver.AddString("workload", "BFS", "workload");
+    RegisterGpuConfigFlags(driver);
+    EXPECT_EQ(FlagError(driver, {token}), bad.message);
+
+    std::ofstream(config_file) << token << "\n";
+    EXPECT_EQ(FlagError(driver, {"config=" + config_file.string()}),
+              bad.message);
+
+    FlagSet sweep("fig8_vc_monopolizing", "");
+    bench::RegisterSweepFlags(sweep);
+    if (sweep.Contains(bad.key) || !driver.Contains(bad.key)) {
+      EXPECT_EQ(FlagError(sweep, {token}), bad.message);
+    }
+
+    try {
+      JobSpec::Parse(SpecWithBase(bad.key, bad.value));
+      ADD_FAILURE() << token << " accepted in a job spec";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), bad.message);
+    }
+  }
+  fs::remove(config_file);
 }
 
 TEST(JobSpecTest, ParsesSweepSpecs) {
@@ -102,6 +179,40 @@ TEST(JobSpecTest, RejectsMalformedSpecs) {
       JobSpec::Parse(R"({"type": "search",
                          "space": {"routings": ["zigzag"]}})"),
       std::invalid_argument);
+  // Job-level numbers must be integers in range, rates within [0, 1].
+  for (const char* field :
+       {R"("warmup": -1)", R"("measure": 1.5)", R"("threads": -2)",
+        R"("threads": 3e9)", R"("warmup": 1e300)"}) {
+    EXPECT_THROW(JobSpec::Parse(std::string(R"({"type": "sweep", )") + field +
+                                R"(, "schemes": [{"label": "x"}]})"),
+                 std::invalid_argument)
+        << field;
+  }
+  const std::vector<std::pair<std::string, std::string>> search_fields = {
+      {"population", "-1"},     {"max_evaluations", "0.5"},
+      {"seed", "-3"},           {"seed", "18014398509481984"},
+      {"crossover_rate", "1.5"}, {"mutation_rate", "-0.1"}};
+  for (const auto& [name, value] : search_fields) {
+    try {
+      JobSpec::Parse(R"({"type": "search", ")" + name + "\": " + value + "}");
+      ADD_FAILURE() << name << "=" << value << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(name + ": must be", 0), 0u)
+          << e.what();
+    }
+  }
+  // Config objects hold only GpuConfig keys, each within its range.
+  EXPECT_THROW(JobSpec::Parse(SpecWithBase("warps", "0")),
+               std::invalid_argument);
+  EXPECT_THROW(JobSpec::Parse(SpecWithBase("num_vc", "4")),
+               std::invalid_argument);
+  EXPECT_THROW(
+      JobSpec::Parse(R"({"type": "sweep", "schemes":
+                         [{"label": "x", "config": {"vc_depth": 0}}]})"),
+      std::invalid_argument);
+  EXPECT_THROW(JobSpec::Parse(R"({"type": "search",
+                                  "space": {"base": {"radix": 1}}})"),
+               std::invalid_argument);
   // So do the removed scheduling backends, with the valid choices, when
   // the server builds the job's configurations.
   for (const char* mode : {"active-set", "event"}) {
@@ -240,6 +351,35 @@ TEST_F(DseServerTest, DeeplyNestedSpecFailsWithParseError) {
   EXPECT_NE(status.At("error").AsString().find("nesting deeper than"),
             std::string::npos)
       << status.At("error").AsString();
+}
+
+// A spec with an out-of-range or unknown config key used to crash the
+// server (warps=0) or finish with nonsense (num_vcs=0). Each must end
+// failed with the flags' message while the server drains the rest.
+TEST_F(DseServerTest, BadConfigKeysFailWithoutStoppingTheServer) {
+  {
+    ServerOptions options;
+    options.spool = Spool();
+    options.once = true;
+    options.poll_ms = 10;
+    JobServer server(options);
+    for (std::size_t i = 0; i < BadKeys().size(); ++i) {
+      server.Submit("bad" + std::to_string(i),
+                    SpecWithBase(BadKeys()[i].key, BadKeys()[i].value));
+    }
+    server.Submit("good", kSweepSpec);
+    EXPECT_EQ(server.Run(), static_cast<int>(BadKeys().size()));
+  }
+  for (std::size_t i = 0; i < BadKeys().size(); ++i) {
+    const std::string id = "bad" + std::to_string(i);
+    EXPECT_EQ(Status(id), "failed") << id;
+    EXPECT_TRUE(fs::exists(Spool() + "/done/" + id + ".json")) << id;
+    const JsonValue status =
+        JsonValue::Parse(ReadFile(Spool() + "/status/" + id + ".json"));
+    EXPECT_EQ(status.At("error").AsString(), BadKeys()[i].message) << id;
+  }
+  EXPECT_EQ(Status("good"), "done");
+  EXPECT_TRUE(fs::exists(Spool() + "/results/good/sweep.json"));
 }
 
 TEST_F(DseServerTest, OrphanedRunningSpecsAreReAdopted) {

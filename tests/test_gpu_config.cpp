@@ -1,7 +1,13 @@
 // Tests for GpuConfig defaults (Table 2) and command-line overrides.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/cli.hpp"
 #include "sim/gpu_config.hpp"
+#include "sim/gpu_system.hpp"
 
 namespace gnoc {
 namespace {
@@ -111,6 +117,111 @@ TEST(GpuConfigTest, MalformedOverridesThrow) {
   Config bad_arbiter;
   bad_arbiter.Set("arbiter", "priority");
   EXPECT_THROW(cfg.ApplyOverrides(bad_arbiter), std::invalid_argument);
+
+  // Out-of-range values fail with the same message the flags give, and
+  // the configuration is left untouched.
+  const std::vector<std::vector<std::string>> out_of_range = {
+      // key, value, message
+      {"warps", "0", "warps: must be >= 1"},
+      {"num_vcs", "0", "num_vcs: must be >= 1"},
+      {"vc_depth", "0", "vc_depth: must be >= 1"},
+      {"radix", "1", "radix: must be >= 2"},
+      {"l2_latency", "-5", "l2_latency: must be >= 0"}};
+  for (const auto& c : out_of_range) {
+    Config bad;
+    bad.Set("width", "4");
+    bad.Set(c[0], c[1]);
+    GpuConfig target = GpuConfig::Baseline();
+    try {
+      target.ApplyOverrides(bad);
+      ADD_FAILURE() << c[0] << "=" << c[1] << " applied";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), c[2]);
+    }
+    EXPECT_EQ(target.width, 8) << c[0];
+  }
+}
+
+TEST(GpuConfigTest, KeysThatAreNotGpuConfigKeysAreIgnored) {
+  // Drivers pass their whole parsed command line through ApplyOverrides.
+  Config args;
+  args.Set("workload", "BFS");
+  args.Set("num_vc", "0");
+  args.SetInt("num_vcs", 4);
+  GpuConfig cfg = GpuConfig::Baseline();
+  cfg.ApplyOverrides(args);
+  EXPECT_EQ(cfg.num_vcs, 4);
+  // ...but a Config that must hold only GpuConfig keys rejects them.
+  try {
+    ValidateGpuConfigKeys(args);
+    ADD_FAILURE() << "foreign keys accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag 'workload'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Every key the flags register must be applied by ApplyOverrides: a valid
+// non-default value has to change the configuration fingerprint.
+TEST(GpuConfigTest, EveryRegisteredKeyChangesTheFingerprint) {
+  const std::map<std::string, std::string> values = {
+      {"width", "4"},
+      {"height", "4"},
+      {"radix", "4"},
+      {"num_mcs", "4"},
+      {"topology", "torus"},
+      {"circulant_s1", "2"},
+      {"circulant_s2", "3"},
+      {"placement", "edge"},
+      {"routing", "yx"},
+      {"vc_policy", "mono"},
+      {"num_vcs", "4"},
+      {"vc_depth", "8"},
+      {"dynamic_epoch", "256"},
+      {"allow_unsafe", "true"},
+      {"division", "physical"},
+      {"atomic_vc_realloc", "false"},
+      {"record_trace", "true"},
+      {"audit", "true"},
+      {"audit_interval", "8"},
+      {"telemetry", "true"},
+      {"telemetry_interval", "50"},
+      {"telemetry_max_windows", "64"},
+      {"scheduling", "soa"},
+      {"qos", "strict"},
+      {"qos_class", "critical,prio=2"},
+      {"ideal_noc", "true"},
+      {"mc_inject_bw", "2"},
+      {"mc_scheduler", "fr-fcfs"},
+      {"arbiter", "matrix"},
+      {"warps", "16"},
+      {"mshr", "16"},
+      {"real_l1", "true"},
+      {"l2_latency", "20"},
+      {"seed", "7"},
+  };
+  FlagSet flags("prog", "");
+  RegisterGpuConfigFlags(flags);
+  const std::vector<std::string> names = flags.Names();
+  EXPECT_EQ(names.size(), values.size());
+  const WorkloadProfile& workload = FindWorkload("BFS");
+  const std::uint64_t base =
+      GpuConfigFingerprint(GpuConfig::Baseline(), workload);
+  for (const std::string& name : names) {
+    const auto it = values.find(name);
+    if (it == values.end()) {
+      ADD_FAILURE() << "no test value for registered key '" << name << "'";
+      continue;
+    }
+    Config one;
+    one.Set(name, it->second);
+    EXPECT_NO_THROW(flags.Validate(one)) << name;
+    GpuConfig cfg = GpuConfig::Baseline();
+    cfg.ApplyOverrides(one);
+    EXPECT_NE(GpuConfigFingerprint(cfg, workload), base)
+        << "key '" << name << "' is registered but not applied";
+  }
 }
 
 TEST(GpuConfigTest, DescribeNamesTheDesignPoint) {

@@ -18,6 +18,7 @@
 #include "noc/telemetry.hpp"
 #include "noc/traffic.hpp"
 #include "noc/vc_policy.hpp"
+#include "sim/gpu_config.hpp"
 #include "sim/gpu_system.hpp"
 
 namespace gnoc {
@@ -88,8 +89,9 @@ TEST(QosConfigTest, RepeatedOverridesConfigureClassesInOrder) {
   overrides.Set("qos", "strict");
   overrides.Append("qos_class", "critical,prio=2,rate=0.5,vcs=1,p99=300");
   overrides.Append("qos_class", "bulk,prio=1");
-  QosConfig qos;
-  ApplyQosOverrides(qos, overrides);
+  GpuConfig cfg;
+  cfg.ApplyOverrides(overrides);
+  const QosConfig& qos = cfg.qos;
   EXPECT_EQ(qos.arbitration, QosArbitration::kStrict);
   EXPECT_EQ(qos.classes[0].name, "critical");
   EXPECT_EQ(qos.classes[0].priority, 2);
@@ -102,8 +104,14 @@ TEST(QosConfigTest, RepeatedOverridesConfigureClassesInOrder) {
   too_many.Append("qos_class", "a");
   too_many.Append("qos_class", "b");
   too_many.Append("qos_class", "c");
-  QosConfig fresh;
-  EXPECT_THROW(ApplyQosOverrides(fresh, too_many), std::invalid_argument);
+  GpuConfig fresh;
+  EXPECT_THROW(fresh.ApplyOverrides(too_many), std::invalid_argument);
+  // Empty occurrences are skipped, so the next spec still lands in class 0.
+  Config with_gap;
+  with_gap.Append("qos_class", "");
+  with_gap.Append("qos_class", "bulk,prio=1");
+  fresh.ApplyOverrides(with_gap);
+  EXPECT_EQ(fresh.qos.classes[0].name, "bulk");
 }
 
 // --- token-bucket conformance ----------------------------------------------
