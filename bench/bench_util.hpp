@@ -105,15 +105,25 @@ inline const std::vector<std::string> kGridKeys = {
     "topology", "radix", "circulant_s1", "circulant_s2",
     "num_vcs",  "qos",   "qos_class"};
 
-/// Registers the flags every sweep harness shares (EXPERIMENTS.md lists
-/// them once; drivers add their own flags on top).
-inline void RegisterSweepFlags(FlagSet& flags) {
+/// Registers the flags every harness shares, pareto_search included: run
+/// length, workload subset, output format, parallelism and crash resume.
+inline void RegisterRunFlags(FlagSet& flags) {
   flags.AddDouble("scale", 1.0, "scales warmup/measure cycles", Positive());
   flags.AddString("workloads", "",
                   "comma-separated benchmark subset (empty = all 25)");
   flags.AddBool("csv", false, "emit CSV instead of aligned tables");
   flags.AddInt("threads", 0, "parallel sweep workers (0 = one per core)",
                AtLeast(0));
+  flags.AddString("checkpoint_dir", "",
+                  "directory for crash-resumable sweep state (empty = off)");
+  flags.AddBool("resume", false,
+                "resume a checkpointed sweep from checkpoint_dir");
+}
+
+/// Registers the flags every sweep harness shares (EXPERIMENTS.md lists
+/// them once; drivers add their own flags on top).
+inline void RegisterSweepFlags(FlagSet& flags) {
+  RegisterRunFlags(flags);
   flags.AddString("json", "", "also write results as JSON to this path");
   flags.AddBool("audit", false, "run cells with the NoC invariant auditor");
   flags.AddBool("telemetry", false,
@@ -126,14 +136,18 @@ inline void RegisterSweepFlags(FlagSet& flags) {
   // scheduling= is a GpuConfig key, but it reaches each cell through
   // SweepOptions::scheduling rather than the scheme's configuration.
   RegisterGpuConfigFlags(flags, {"scheduling"});
-  flags.AddString("checkpoint_dir", "",
-                  "directory for crash-resumable sweep state (empty = off)");
   flags.AddInt("checkpoint_interval", 0,
                "cycles between mid-cell snapshots (0 = per-cell only)",
                AtLeast(0));
-  flags.AddBool("resume", false,
-                "resume a checkpointed sweep from checkpoint_dir");
   RegisterGpuConfigFlags(flags, kGridKeys);
+}
+
+/// The shared flags pareto_search applies: the run flags and radix=, which
+/// reshapes the search's base grid. The search axes carry the topology and
+/// VC choices, so the other grid keys are unknown flags there.
+inline void RegisterSearchFlags(FlagSet& flags) {
+  RegisterRunFlags(flags);
+  RegisterGpuConfigFlags(flags, {"radix"});
 }
 
 /// Applies the grid/topology `keys` (default kGridKeys) the user set to a
@@ -152,16 +166,17 @@ inline GpuConfig WithGridOverrides(
   return cfg;
 }
 
-/// Builds the harness FlagSet (shared sweep flags + optional driver
+/// Builds the harness FlagSet (the `shared` flags + optional driver
 /// extras) and parses argv through it. help= prints the generated help and
 /// exits 0; an unknown flag or malformed value prints the error and exits
 /// 2 — a mistyped flag never silently runs the full sweep.
 inline BenchOptions ParseBenchOptions(
     int argc, char** argv, const std::string& program,
     const std::string& summary,
-    const std::function<void(FlagSet&)>& extra = nullptr) {
+    const std::function<void(FlagSet&)>& extra = nullptr,
+    void (*shared)(FlagSet&) = RegisterSweepFlags) {
   FlagSet flags(program, summary);
-  RegisterSweepFlags(flags);
+  shared(flags);
   if (extra) extra(flags);
   BenchOptions opts;
   try {

@@ -9,8 +9,9 @@
 //   pareto_search routings=xy,yx vc_counts=2,4 radix=4 workloads=BFS
 //       scale=0.1 out=/tmp/pareto.json              # quick sub-space
 //
-// Shares the sweep flags (scale=, workloads=, threads=, checkpoint_dir=,
-// resume=); EXPERIMENTS.md has the full worked example.
+// Shares the run flags (scale=, workloads=, csv=, threads=,
+// checkpoint_dir=, resume=) and radix=; EXPERIMENTS.md has the full worked
+// example.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,7 +39,7 @@ int Main(int argc, char** argv) {
       "the NoC configuration axes",
       [&](FlagSet& f) {
         f.AddEnum("strategy", "nsga2", "batch proposal strategy",
-                  {"nsga2", "random", "grid"});
+                  SearchStrategyRegistry());
         f.AddString("objectives", "ipc,mean_latency,p99_latency,buffer_area",
                     "comma list: ipc, mean_latency, p99_latency, buffer_area");
         f.AddInt("population", 16, "designs proposed per batch", AtLeast(1));
@@ -54,7 +55,8 @@ int Main(int argc, char** argv) {
         f.AddString("topologies", "", "axis override, e.g. mesh,torus");
         f.AddString("vc_counts", "", "axis override, e.g. 2,4");
         f.AddString("vc_depths", "", "axis override, e.g. 4,8");
-      });
+      },
+      RegisterSearchFlags);
 
   DesignSpace space = DesignSpace::Default();
   OverrideAxis(space.placements, opts.raw.GetString("placements", ""),
@@ -66,11 +68,13 @@ int Main(int argc, char** argv) {
   OverrideAxis(space.topologies, opts.raw.GetString("topologies", ""),
                ParseTopology);
   OverrideAxis(space.vc_counts, opts.raw.GetString("vc_counts", ""),
-               [](const std::string& s) { return std::stoi(s); });
+               [](const std::string& s) {
+                 return ParseAxisValue("num_vcs", s);
+               });
   OverrideAxis(space.vc_depths, opts.raw.GetString("vc_depths", ""),
-               [](const std::string& s) { return std::stoi(s); });
-  // radix= reshapes the base grid under the axes (the axes themselves
-  // carry topology/VC choices, so only the size shorthand applies here).
+               [](const std::string& s) {
+                 return ParseAxisValue("vc_depth", s);
+               });
   space.base = WithGridOverrides(space.base, opts, {"radix"});
 
   SearchOptions sopt;

@@ -64,6 +64,10 @@ class Rng {
   /// cached Box-Muller half) round-trips exactly.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(s_, has_cached_gaussian_, cached_gaussian_);
+  }
 
  private:
   std::array<std::uint64_t, 4> s_{};

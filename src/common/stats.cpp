@@ -166,36 +166,12 @@ std::string StatSet::ToString() const {
 }
 
 
-void RunningStats::Save(Serializer& s) const {
-  s.U64(count_);
-  s.Double(mean_);
-  s.Double(m2_);
-  s.Double(sum_);
-  s.Double(min_);
-  s.Double(max_);
-}
+void RunningStats::Save(Serializer& s) const { SaveFields(*this, s); }
 
-void RunningStats::Load(Deserializer& d) {
-  count_ = d.U64();
-  mean_ = d.Double();
-  m2_ = d.Double();
-  sum_ = d.Double();
-  min_ = d.Double();
-  max_ = d.Double();
-}
+void RunningStats::Load(Deserializer& d) { LoadFields(*this, d); }
 
-void Histogram::Save(Serializer& s) const {
-  s.Double(bucket_width_);
-  s.U64(counts_.size());
-  for (std::uint64_t c : counts_) s.U64(c);
-  stats_.Save(s);
-}
+void Histogram::Save(Serializer& s) const { SaveFields(*this, s); }
 
-void Histogram::Load(Deserializer& d) {
-  bucket_width_ = d.Double();
-  counts_.assign(d.U64(), 0);
-  for (std::uint64_t& c : counts_) c = d.U64();
-  stats_.Load(d);
-}
+void Histogram::Load(Deserializer& d) { LoadFields(*this, d); }
 
 }  // namespace gnoc

@@ -37,6 +37,10 @@ class RunningStats {
 
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(count_, mean_, m2_, sum_, min_, max_);
+  }
 
  private:
   std::uint64_t count_ = 0;
@@ -92,6 +96,12 @@ class Histogram {
   /// in place, widths included).
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(bucket_width_);
+    ar.Sized(counts_);
+    ar(stats_);
+  }
 
  private:
   double bucket_width_;

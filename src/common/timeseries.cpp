@@ -73,37 +73,12 @@ void HistogramSeries::Downsample() {
 }
 
 
-void TimeSeries::Save(Serializer& s) const {
-  s.U64(width_);
-  s.U64(max_windows_);
-  s.U64(sums_.size());
-  for (double v : sums_) s.Double(v);
-}
+void TimeSeries::Save(Serializer& s) const { SaveFields(*this, s); }
 
-void TimeSeries::Load(Deserializer& d) {
-  width_ = d.U64();
-  max_windows_ = d.U64();
-  sums_.assign(d.U64(), 0.0);
-  for (double& v : sums_) v = d.Double();
-}
+void TimeSeries::Load(Deserializer& d) { LoadFields(*this, d); }
 
-void HistogramSeries::Save(Serializer& s) const {
-  s.U64(width_);
-  s.U64(max_windows_);
-  s.Double(bucket_width_);
-  s.U64(num_buckets_);
-  s.U64(windows_.size());
-  for (const Histogram& h : windows_) h.Save(s);
-}
+void HistogramSeries::Save(Serializer& s) const { SaveFields(*this, s); }
 
-void HistogramSeries::Load(Deserializer& d) {
-  width_ = d.U64();
-  max_windows_ = d.U64();
-  bucket_width_ = d.Double();
-  num_buckets_ = d.U64();
-  const std::size_t n = d.U64();
-  windows_.assign(n, Histogram(bucket_width_, num_buckets_));
-  for (Histogram& h : windows_) h.Load(d);
-}
+void HistogramSeries::Load(Deserializer& d) { LoadFields(*this, d); }
 
 }  // namespace gnoc

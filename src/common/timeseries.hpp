@@ -55,6 +55,11 @@ class TimeSeries {
   /// downsampling), not the construction-time width.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(width_, max_windows_);
+    ar.Sized(sums_);
+  }
 
  private:
   /// Merges adjacent window pairs and doubles the width.
@@ -84,6 +89,11 @@ class HistogramSeries {
 
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(width_, max_windows_, bucket_width_, num_buckets_);
+    ar.Sized(windows_, Histogram(bucket_width_, num_buckets_));
+  }
 
  private:
   void Downsample();

@@ -103,6 +103,12 @@ struct Coord {
   int y = 0;
 
   friend constexpr auto operator<=>(const Coord&, const Coord&) = default;
+
+  /// Snapshot layout (common/serialize.hpp).
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(x, y);
+  }
 };
 
 /// Manhattan distance between two coordinates.

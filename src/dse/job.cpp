@@ -68,10 +68,11 @@ std::vector<std::string> ParseStringArray(const JsonValue& arr) {
   return out;
 }
 
-std::vector<int> ParseIntArray(const JsonValue& arr) {
+/// A vc_counts / vc_depths axis; see ParseAxisValue.
+std::vector<int> ParseAxisValues(const JsonValue& arr, const char* key) {
   std::vector<int> out;
   for (const JsonValue& v : arr.AsArray()) {
-    out.push_back(static_cast<int>(v.AsNumber()));
+    out.push_back(ParseAxisValue(key, ScalarToString(v)));
   }
   return out;
 }
@@ -106,10 +107,10 @@ DesignSpace ParseSpace(const JsonValue& obj) {
     }
   }
   if (const JsonValue* v = obj.Find("vc_counts")) {
-    s.vc_counts = ParseIntArray(*v);
+    s.vc_counts = ParseAxisValues(*v, "num_vcs");
   }
   if (const JsonValue* v = obj.Find("vc_depths")) {
-    s.vc_depths = ParseIntArray(*v);
+    s.vc_depths = ParseAxisValues(*v, "vc_depth");
   }
   s.NumPoints();  // throws on an empty axis
   return s;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <filesystem>
 #include <limits>
 #include <map>
@@ -17,59 +16,50 @@
 
 namespace gnoc {
 
+const EnumRegistry<SearchStrategy>& SearchStrategyRegistry() {
+  static const EnumRegistry<SearchStrategy> kRegistry{
+      "strategy",
+      {
+          {"nsga2", SearchStrategy::kNsga2},
+          {"nsga-ii", SearchStrategy::kNsga2},
+          {"nsga", SearchStrategy::kNsga2},
+          {"random", SearchStrategy::kRandom},
+          {"rand", SearchStrategy::kRandom},
+          {"grid", SearchStrategy::kGrid},
+          {"exhaustive", SearchStrategy::kGrid},
+      }};
+  return kRegistry;
+}
+
 const char* SearchStrategyName(SearchStrategy s) {
-  switch (s) {
-    case SearchStrategy::kNsga2: return "nsga2";
-    case SearchStrategy::kRandom: return "random";
-    case SearchStrategy::kGrid: return "grid";
-  }
-  return "?";
+  return SearchStrategyRegistry().Name(s);
 }
-
-namespace {
-
-std::string Lowered(const std::string& name) {
-  std::string n;
-  for (const char c : name) {
-    n += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return n;
-}
-
-}  // namespace
 
 SearchStrategy ParseSearchStrategy(const std::string& name) {
-  const std::string n = Lowered(name);
-  if (n == "nsga2" || n == "nsga-ii" || n == "nsga") {
-    return SearchStrategy::kNsga2;
-  }
-  if (n == "random" || n == "rand") return SearchStrategy::kRandom;
-  if (n == "grid" || n == "exhaustive") return SearchStrategy::kGrid;
-  throw std::invalid_argument("unknown search strategy '" + name +
-                              "' (want nsga2|random|grid)");
+  return SearchStrategyRegistry().Parse(name);
+}
+
+const EnumRegistry<SearchObjective>& SearchObjectiveRegistry() {
+  static const EnumRegistry<SearchObjective> kRegistry{
+      "objective",
+      {
+          {"ipc", SearchObjective::kIpc},
+          {"mean_latency", SearchObjective::kMeanLatency},
+          {"latency", SearchObjective::kMeanLatency},
+          {"p99_latency", SearchObjective::kP99Latency},
+          {"p99", SearchObjective::kP99Latency},
+          {"buffer_area", SearchObjective::kBufferArea},
+          {"area", SearchObjective::kBufferArea},
+      }};
+  return kRegistry;
 }
 
 const char* SearchObjectiveName(SearchObjective o) {
-  switch (o) {
-    case SearchObjective::kIpc: return "ipc";
-    case SearchObjective::kMeanLatency: return "mean_latency";
-    case SearchObjective::kP99Latency: return "p99_latency";
-    case SearchObjective::kBufferArea: return "buffer_area";
-  }
-  return "?";
+  return SearchObjectiveRegistry().Name(o);
 }
 
 SearchObjective ParseSearchObjective(const std::string& name) {
-  const std::string n = Lowered(name);
-  if (n == "ipc") return SearchObjective::kIpc;
-  if (n == "mean_latency" || n == "latency") {
-    return SearchObjective::kMeanLatency;
-  }
-  if (n == "p99_latency" || n == "p99") return SearchObjective::kP99Latency;
-  if (n == "buffer_area" || n == "area") return SearchObjective::kBufferArea;
-  throw std::invalid_argument(
-      "unknown objective '" + name +
-      "' (want ipc|mean_latency|p99_latency|buffer_area)");
+  return SearchObjectiveRegistry().Parse(name);
 }
 
 std::vector<double> ObjectiveVector(
@@ -237,58 +227,45 @@ struct SearchState {
     archive.push_back(std::move(d));
   }
 
-  void Save(Serializer& s) const {
-    s.U32(kSearchCkptLayout);
-    rng.Save(s);
-    s.U64(generation);
-    s.U64(evaluations);
-    s.U64(archive.size());
-    for (const EvaluatedDesign& d : archive) {
-      for (const std::uint16_t c : d.point.coord) s.U16(c);
-      s.Bool(d.feasible);
-      s.Str(d.infeasible_reason);
-      s.Double(d.ipc);
-      s.Double(d.mean_packet_latency);
-      s.Double(d.p99_packet_latency);
-      s.Double(d.buffer_area_flits);
-    }
-    s.U64(pending.size());
-    for (const DesignPoint& p : pending) {
-      for (const std::uint16_t c : p.coord) s.U16(c);
-    }
+  void Save(Serializer& s, const DesignSpace& space) const {
+    SaveFields(*this, s, space);
+  }
+  void Load(Deserializer& d, const DesignSpace& space) {
+    LoadFields(*this, d, space);
   }
 
-  void Load(Deserializer& d, const DesignSpace& space) {
-    const std::uint32_t layout = d.U32();
+  /// Labels and the index are derived: a load rebuilds them.
+  template <typename Ar>
+  void Transfer(Ar& ar, const DesignSpace& space) {
+    std::uint32_t layout = kSearchCkptLayout;
+    ar(layout);
     if (layout != kSearchCkptLayout) {
       throw SerializeError("search checkpoint layout " +
                            std::to_string(layout) + " != expected " +
                            std::to_string(kSearchCkptLayout));
     }
-    rng.Load(d);
-    generation = d.U64();
-    evaluations = d.U64();
-    archive.clear();
-    index.clear();
-    const std::uint64_t n = d.U64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      EvaluatedDesign e;
-      for (std::uint16_t& c : e.point.coord) c = d.U16();
-      e.feasible = d.Bool();
-      e.infeasible_reason = d.Str();
-      e.ipc = d.Double();
-      e.mean_packet_latency = d.Double();
-      e.p99_packet_latency = d.Double();
-      e.buffer_area_flits = d.Double();
-      e.label = PointLabel(space, e.point);
-      Commit(std::move(e));
+    const auto point = [&](DesignPoint& p) {
+      for (std::size_t a = 0; a < kNumDesignAxes; ++a) {
+        ar.InRange(p.coord[a], 0,
+                   static_cast<std::int64_t>(space.AxisSize(a)),
+                   "search design coordinate");
+      }
+    };
+    ar(rng, generation, evaluations);
+    ar.Count(archive);
+    for (EvaluatedDesign& e : archive) {
+      point(e.point);
+      ar(e.feasible, e.infeasible_reason, e.ipc, e.mean_packet_latency,
+         e.p99_packet_latency, e.buffer_area_flits);
     }
-    pending.clear();
-    const std::uint64_t np = d.U64();
-    for (std::uint64_t i = 0; i < np; ++i) {
-      DesignPoint p;
-      for (std::uint16_t& c : p.coord) c = d.U16();
-      pending.push_back(p);
+    ar.Count(pending);
+    for (DesignPoint& p : pending) point(p);
+    if constexpr (Ar::kLoading) {
+      index.clear();
+      for (std::size_t i = 0; i < archive.size(); ++i) {
+        archive[i].label = PointLabel(space, archive[i].point);
+        index.emplace(archive[i].point, i);
+      }
     }
   }
 };
@@ -388,7 +365,7 @@ class Search {
   void SaveCheckpoint() const {
     if (options_.checkpoint_dir.empty()) return;
     Serializer s;
-    state_.Save(s);
+    state_.Save(s, space_);
     WriteSnapshotFile(CheckpointPath(), fingerprint_, s.bytes());
   }
 

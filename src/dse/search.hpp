@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_registry.hpp"
 #include "dse/space.hpp"
 #include "sim/experiment.hpp"
 
@@ -47,6 +48,8 @@ enum class SearchStrategy : std::uint8_t {
   kGrid = 2,
 };
 
+/// The name/alias table behind SearchStrategyName and ParseSearchStrategy.
+const EnumRegistry<SearchStrategy>& SearchStrategyRegistry();
 const char* SearchStrategyName(SearchStrategy s);
 /// Parses "nsga2" / "random" / "grid" (aliases accepted). Throws
 /// std::invalid_argument on unknown names.
@@ -61,8 +64,11 @@ enum class SearchObjective : std::uint8_t {
   kBufferArea = 3,
 };
 
+/// The name/alias table behind SearchObjectiveName and ParseSearchObjective.
+const EnumRegistry<SearchObjective>& SearchObjectiveRegistry();
 const char* SearchObjectiveName(SearchObjective o);
-/// Parses "ipc" / "mean_latency" / "p99_latency" / "buffer_area".
+/// Parses "ipc" / "mean_latency" / "p99_latency" / "buffer_area" (aliases
+/// accepted). Throws std::invalid_argument on unknown names.
 SearchObjective ParseSearchObjective(const std::string& name);
 
 /// One design the search has looked at, with its aggregated metrics.

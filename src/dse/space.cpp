@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/config.hpp"
 #include "noc/deadlock.hpp"
 
 namespace gnoc {
@@ -134,6 +135,13 @@ std::string DesignInfeasibility(const DesignSpace& space,
     return e.what();
   }
   return "";
+}
+
+int ParseAxisValue(const std::string& key, const std::string& text) {
+  Config checked;
+  checked.Set(key, text);
+  ValidateGpuConfigKeys(checked);
+  return static_cast<int>(checked.GetInt(key, 0));
 }
 
 double BufferAreaFlits(const DesignSpace& space, const DesignPoint& point) {

@@ -65,6 +65,12 @@ struct DesignSpace {
   DesignPoint PointAt(std::uint64_t index) const;
 };
 
+/// One vc_counts / vc_depths axis value, checked by the GpuConfig key
+/// table's `key` check ("num_vcs" / "vc_depth"), so a bad value fails with
+/// the same message as that key on any other input surface. Throws
+/// std::invalid_argument.
+int ParseAxisValue(const std::string& key, const std::string& text);
+
 /// The configuration a point denotes: `space.base` with the six axis
 /// values applied. Asserts every coordinate is in range.
 GpuConfig MakeConfig(const DesignSpace& space, const DesignPoint& point);

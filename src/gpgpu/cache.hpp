@@ -74,6 +74,11 @@ class SetAssocCache {
   /// Geometry is construction-derived; the loader must match it.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(use_counter_, lines_, stats_.read_hits, stats_.read_misses,
+       stats_.write_hits, stats_.write_misses, stats_.writebacks);
+  }
 
  private:
   struct Line {
@@ -81,6 +86,11 @@ class SetAssocCache {
     bool valid = false;
     bool dirty = false;
     std::uint64_t lru = 0;  ///< last-use stamp; smallest = LRU victim
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(tag, valid, dirty, lru);
+    }
   };
 
   std::uint64_t LineAddress(std::uint64_t addr) const;

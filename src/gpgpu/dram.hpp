@@ -64,12 +64,22 @@ class DramModel {
   /// Snapshot support (DESIGN.md §10): bank state and stats.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(banks_, stats_.accesses, stats_.row_hits, stats_.reads, stats_.writes,
+       stats_.bank_wait_cycles);
+  }
 
  private:
   struct Bank {
     Cycle busy_until = 0;
     std::uint64_t open_row = 0;
     bool row_valid = false;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(busy_until, open_row, row_valid);
+    }
   };
 
   int BankOf(std::uint64_t addr) const;

@@ -90,6 +90,15 @@ class MemoryController : public PacketSink {
   /// resume) and stats.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(l2_, dram_);
+    ar.Sized(queue_);
+    ar.Heap(inflight_);
+    ar(stats_.read_requests, stats_.write_requests, stats_.l2_read_hits,
+       stats_.l2_read_misses, stats_.dram_writebacks, stats_.replies_sent,
+       stats_.stall_cycles, stats_.reordered, stats_.service_latency);
+  }
 
  private:
   struct Completion {
@@ -99,6 +108,11 @@ class MemoryController : public PacketSink {
 
     bool operator>(const Completion& other) const {
       return ready_at > other.ready_at;
+    }
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(ready_at, reply, accepted_at);
     }
   };
 

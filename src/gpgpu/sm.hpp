@@ -92,6 +92,8 @@ class StreamingMultiprocessor : public PacketSink {
   /// list are reconstructed by the owning GpuSystem.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar);  // the field list, in sm.cpp
 
  private:
   /// What the warp's next instruction is.
@@ -105,6 +107,13 @@ class StreamingMultiprocessor : public PacketSink {
     std::uint64_t cursor = 0;    ///< current address stream position
     int burst_remaining = 0;     ///< divergent-load transactions still to send
     int pending_replies = 0;     ///< outstanding replies of the current load
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(blocked);
+      ar.InRange(next, 0, 5, "SM warp next instruction");
+      ar(next_addr, cursor, burst_remaining, pending_replies);
+    }
   };
 
   /// Rolls the next instruction of warp `w` from the profile.

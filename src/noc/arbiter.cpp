@@ -93,20 +93,9 @@ std::unique_ptr<Arbiter> MakeArbiter(ArbiterKind kind,
   return std::make_unique<RoundRobinArbiter>(num_inputs);
 }
 
-void RoundRobinArbiter::Save(Serializer& s) const { s.U64(pointer_); }
-
-void RoundRobinArbiter::Load(Deserializer& d) { pointer_ = d.U64(); }
-
-void MatrixArbiter::Save(Serializer& s) const {
-  for (const auto& row : prec_) {
-    for (const bool bit : row) s.Bool(bit);
-  }
-}
-
-void MatrixArbiter::Load(Deserializer& d) {
-  for (auto& row : prec_) {
-    for (std::size_t j = 0; j < row.size(); ++j) row[j] = d.Bool();
-  }
-}
+void RoundRobinArbiter::Save(Serializer& s) const { SaveFields(*this, s); }
+void RoundRobinArbiter::Load(Deserializer& d) { LoadFields(*this, d); }
+void MatrixArbiter::Save(Serializer& s) const { SaveFields(*this, s); }
+void MatrixArbiter::Load(Deserializer& d) { LoadFields(*this, d); }
 
 }  // namespace gnoc

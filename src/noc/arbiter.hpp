@@ -63,6 +63,11 @@ class RoundRobinArbiter final : public Arbiter {
 
   void Save(Serializer& s) const override;
   void Load(Deserializer& d) override;
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar.InRange(pointer_, 0, static_cast<std::int64_t>(num_inputs_),
+               "arbiter pointer");
+  }
 
   /// Exposed for tests: index with current highest priority.
   std::size_t pointer() const { return pointer_; }
@@ -81,6 +86,10 @@ class MatrixArbiter final : public Arbiter {
 
   void Save(Serializer& s) const override;
   void Load(Deserializer& d) override;
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(prec_);
+  }
 
  private:
   /// prec_[i][j] == true means i has precedence over j.

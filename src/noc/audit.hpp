@@ -75,6 +75,12 @@ struct AuditViolation {
   AuditInvariant invariant = AuditInvariant::kCreditConservation;
   Cycle cycle = 0;
   std::string detail;
+
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar.InRange(invariant, 0, kNumAuditInvariants, "audit invariant");
+    ar(cycle, detail);
+  }
 };
 
 /// Faults the Network can plant in live channels so tests can prove each
@@ -112,6 +118,12 @@ struct AuditReport {
   /// Snapshot support (DESIGN.md §10).
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(enabled, checks, events, flits_injected, flits_ejected, violations,
+       by_invariant);
+    ar.Sized(samples);
+  }
 };
 
 /// Tracks invariants for one Network. Owned by the Network; routers and
@@ -183,6 +195,8 @@ class Auditor {
   /// next snapshot cycle and the report. Link wiring is reconstructed.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar);  // the field list, in audit.cpp
 
  private:
   /// Incremental wormhole state of one VC on one side of a link.
@@ -190,6 +204,11 @@ class Auditor {
     bool open = false;
     PacketId packet = 0;
     std::uint16_t next_seq = 0;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(open, packet, next_seq);
+    }
   };
 
   struct LinkState {

@@ -57,29 +57,20 @@ class VcBuffer {
   /// Load throws SerializeError on a payload no run can produce: more
   /// flits than the capacity, a flit on a VC outside [0, num_vcs), or
   /// ready cycles that decrease front to back.
-  void Save(Serializer& s) const {
-    s.U64(fifo_.size());
-    for (const Flit& f : fifo_) gnoc::Save(s, f);
-  }
-  void Load(Deserializer& d, VcId num_vcs) {
-    fifo_.clear();
-    const std::uint64_t n = d.U64();
-    if (n > capacity_) {
-      throw SerializeError("snapshot VC buffer holds " + std::to_string(n) +
-                           " flits, above its capacity " +
-                           std::to_string(capacity_));
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Flit f;
-      gnoc::Load(d, f);
-      if (f.vc < 0 || f.vc >= num_vcs) {
-        throw SerializeError("snapshot flit on VC " + std::to_string(f.vc) +
-                             " outside [0, " + std::to_string(num_vcs) + ")");
-      }
-      if (!fifo_.empty() && f.ready < fifo_.back().ready) {
+  void Save(Serializer& s) const { SaveFields(*this, s, VcId{0}); }
+  void Load(Deserializer& d, VcId num_vcs) { LoadFields(*this, d, num_vcs); }
+  template <typename Ar>
+  void Transfer(Ar& ar, VcId num_vcs) {
+    ar.BoundedCount(fifo_, capacity_, [this](std::uint64_t n) {
+      return "snapshot VC buffer holds " + std::to_string(n) +
+             " flits, above its capacity " + std::to_string(capacity_);
+    });
+    for (std::size_t i = 0; i < fifo_.size(); ++i) {
+      ar(fifo_[i]);
+      ar.Check(fifo_[i].vc, 0, num_vcs, "flit on VC");
+      if (Ar::kLoading && i > 0 && fifo_[i].ready < fifo_[i - 1].ready) {
         throw SerializeError("snapshot VC buffer ready cycles decrease");
       }
-      fifo_.push_back(f);
     }
   }
 

@@ -32,14 +32,15 @@ struct WakeHook {
 };
 
 /// A credit returned upstream: the downstream router freed one slot of input
-/// VC `vc` on the link this channel models. (Declared before DelayLine so
-/// the template's qualified Save/Load calls see the overloads below.)
+/// VC `vc` on the link this channel models.
 struct Credit {
   VcId vc = kInvalidVc;
-};
 
-inline void Save(Serializer& s, const Credit& c) { s.I32(c.vc); }
-inline void Load(Deserializer& d, Credit& c) { c.vc = d.I32(); }
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(vc);
+  }
+};
 
 /// A FIFO pipe where each item becomes visible `latency` cycles after being
 /// pushed. Unbounded: admission control is done by credits, not by the wire.
@@ -127,33 +128,24 @@ class DelayLine {
   /// vc_depth), an item on a VC outside [0, num_vcs), or due cycles that
   /// decrease front to back.
   void Save(Serializer& s) const {
-    s.U64(items_.size());
-    for (const auto& [due, item] : items_) {
-      s.U64(due);
-      gnoc::Save(s, item);
-    }
+    SaveFields(*this, s, std::size_t{0}, VcId{0});
   }
   void Load(Deserializer& d, std::size_t max_items, VcId num_vcs) {
-    items_.clear();
-    const std::uint64_t n = d.U64();
-    if (n > max_items) {
-      throw SerializeError("snapshot channel holds " + std::to_string(n) +
-                           " items, above the credit bound " +
-                           std::to_string(max_items));
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const Cycle due = d.U64();
-      T item{};
-      gnoc::Load(d, item);
-      if (item.vc < 0 || item.vc >= num_vcs) {
-        throw SerializeError("snapshot channel item on VC " +
-                             std::to_string(item.vc) + " outside [0, " +
-                             std::to_string(num_vcs) + ")");
-      }
-      if (!items_.empty() && due < items_.back().first) {
+    LoadFields(*this, d, max_items, num_vcs);
+  }
+  template <typename Ar>
+  void Transfer(Ar& ar, std::size_t max_items, VcId num_vcs) {
+    ar.BoundedCount(items_, max_items, [max_items](std::uint64_t n) {
+      return "snapshot channel holds " + std::to_string(n) +
+             " items, above the credit bound " + std::to_string(max_items);
+    });
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      auto& [due, item] = items_[i];
+      ar(due, item);
+      ar.Check(item.vc, 0, num_vcs, "channel item on VC");
+      if (Ar::kLoading && i > 0 && due < items_[i - 1].first) {
         throw SerializeError("snapshot channel due cycles decrease");
       }
-      items_.emplace_back(due, std::move(item));
     }
   }
 

@@ -52,6 +52,8 @@ class IdealFabric final : public Fabric {
   /// summary and type counters. Sinks are rewired by the owner.
   void Save(Serializer& s) const override;
   void Load(Deserializer& d) override;
+  template <typename Ar>
+  void Transfer(Ar& ar);  // the field list, in ideal.cpp
 
   /// The ideal fabric has no physical networks; these accessors are
   /// unsupported and throw std::logic_error.
@@ -70,6 +72,11 @@ class IdealFabric final : public Fabric {
 
     bool operator>(const Arrival& other) const {
       return due != other.due ? due > other.due : seq > other.seq;
+    }
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(due, seq, packet);
     }
   };
 

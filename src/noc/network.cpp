@@ -519,84 +519,41 @@ void Network::ResetStats() {
   last_progress_cycle_ = now_;
 }
 
-void NetworkSummary::Save(Serializer& s) const {
-  for (const std::uint64_t n : packets_injected) s.U64(n);
-  for (const std::uint64_t n : packets_ejected) s.U64(n);
-  for (const std::uint64_t n : flits_injected) s.U64(n);
-  for (const std::uint64_t n : flits_ejected) s.U64(n);
-  for (const RunningStats& r : packet_latency) r.Save(s);
-  for (const RunningStats& r : network_latency) r.Save(s);
-  for (const Histogram& h : latency_histogram) h.Save(s);
-  for (const std::uint64_t n : qos_throttle_cycles) s.U64(n);
-  s.U64(flits_forwarded);
-  s.U64(cycles);
-}
+void NetworkSummary::Save(Serializer& s) const { SaveFields(*this, s); }
+void NetworkSummary::Load(Deserializer& d) { LoadFields(*this, d); }
 
-void NetworkSummary::Load(Deserializer& d) {
-  for (std::uint64_t& n : packets_injected) n = d.U64();
-  for (std::uint64_t& n : packets_ejected) n = d.U64();
-  for (std::uint64_t& n : flits_injected) n = d.U64();
-  for (std::uint64_t& n : flits_ejected) n = d.U64();
-  for (RunningStats& r : packet_latency) r.Load(d);
-  for (RunningStats& r : network_latency) r.Load(d);
-  for (Histogram& h : latency_histogram) h.Load(d);
-  for (std::uint64_t& n : qos_throttle_cycles) n = d.U64();
-  flits_forwarded = d.U64();
-  cycles = d.U64();
-}
-
-void Network::Save(Serializer& s) const {
-  s.U64(now_);
-  s.U64(next_packet_id_);
-  s.U64(tick_steps_);
-  s.U64(progress_events_);
-  s.U64(last_progress_counter_);
-  s.U64(last_progress_cycle_);
-  s.Bool(deadlocked_);
-  for (const auto& router : routers_) router->Save(s);
-  for (const auto& nic : nics_) nic->Save(s);
-  for (const auto& link : flit_links_) link->channel.Save(s);
-  for (const auto& link : credit_links_) link->channel.Save(s);
-  s.Bool(auditor_ != nullptr);
-  if (auditor_ != nullptr) auditor_->Save(s);
-  s.Bool(telemetry_ != nullptr);
-  if (telemetry_ != nullptr) telemetry_->Save(s);
-}
-
-void Network::Load(Deserializer& d) {
-  now_ = d.U64();
-  next_packet_id_ = d.U64();
-  tick_steps_ = d.U64();
-  progress_events_ = d.U64();
-  last_progress_counter_ = d.U64();
-  last_progress_cycle_ = d.U64();
-  deadlocked_ = d.Bool();
-  for (const auto& router : routers_) router->Load(d);
-  for (const auto& nic : nics_) nic->Load(d);
+template <typename Ar>
+void Network::Transfer(Ar& ar) {
+  ar(now_, next_packet_id_, tick_steps_, progress_events_,
+     last_progress_counter_, last_progress_cycle_, deadlocked_, routers_,
+     nics_);
   // The credit loop bounds every link at num_vcs x vc_depth items.
   const auto max_items =
       static_cast<std::size_t>(config_.num_vcs * config_.vc_depth);
   for (const auto& link : flit_links_) {
-    link->channel.Load(d, max_items, config_.num_vcs);
+    link->channel.Transfer(ar, max_items, config_.num_vcs);
   }
   for (const auto& link : credit_links_) {
-    link->channel.Load(d, max_items, config_.num_vcs);
+    link->channel.Transfer(ar, max_items, config_.num_vcs);
   }
-  const bool had_auditor = d.Bool();
-  if (had_auditor != (auditor_ != nullptr)) {
-    throw SerializeError(
-        "snapshot audit mode differs from this network's configuration");
+  if (ar.Presence(auditor_ != nullptr,
+                  "snapshot audit mode differs from this network's "
+                  "configuration")) {
+    ar(*auditor_);
   }
-  if (auditor_ != nullptr) auditor_->Load(d);
-  const bool had_telemetry = d.Bool();
-  if (had_telemetry != (telemetry_ != nullptr)) {
-    throw SerializeError(
-        "snapshot telemetry mode differs from this network's configuration");
+  if (ar.Presence(telemetry_ != nullptr,
+                  "snapshot telemetry mode differs from this network's "
+                  "configuration")) {
+    ar(*telemetry_);
   }
-  if (telemetry_ != nullptr) telemetry_->Load(d);
-  // Channel Load writes contents directly (no wake hooks fire), so the SoA
+  // Channel loads write contents directly (no wake hooks fire), so the SoA
   // core re-derives its planes from the loaded objects (DESIGN.md §14).
-  if (soa_ != nullptr) soa_->RebuildFromObjects();
+  if constexpr (Ar::kLoading) {
+    if (soa_ != nullptr) soa_->RebuildFromObjects();
+  }
 }
+
+void Network::Save(Serializer& s) const { SaveFields(*this, s); }
+void Network::Load(Deserializer& d) { LoadFields(*this, d); }
 
 }  // namespace gnoc

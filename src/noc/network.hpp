@@ -128,6 +128,12 @@ struct NetworkSummary {
   /// Snapshot support (DESIGN.md §10).
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(packets_injected, packets_ejected, flits_injected, flits_ejected,
+       packet_latency, network_latency, latency_histogram,
+       qos_throttle_cycles, flits_forwarded, cycles);
+  }
 };
 
 class Network {
@@ -275,6 +281,8 @@ class Network {
   /// snapshotted, under either scheduling mode.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar);  // the field list, in network.cpp
 
  private:
   /// The SoA core (scheduling=soa) walks the link/router tables directly

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 
 #include "common/serialize.hpp"
 
@@ -123,7 +122,9 @@ void Nic::ConsumeCredits(Cycle now) {
       const auto vc = static_cast<std::size_t>(credit->vc);
       assert(vc < credits_.size());
       ++credits_[vc];
-      assert(credits_[vc] <= config_.vc_depth && "injection credit overflow");
+      // A planted fault may overflow: the auditor reports it.
+      assert((auditor_ != nullptr || credits_[vc] <= config_.vc_depth) &&
+             "injection credit overflow");
     }
   }
   // Release draining VCs (atomic: only once the downstream buffer emptied).
@@ -286,10 +287,22 @@ void Nic::DrainEjection(Cycle now) {
       assert(packet.dst == node_ && "flit ejected at the wrong NIC");
 
       auto it = assembled_.find(front.packet_id);
-      [[maybe_unused]] const int absorbed =
-          it == assembled_.end() ? 0 : it->second;
-      assert(absorbed + 1 == packet.num_flits &&
-             "tail arrived before the rest of its packet");
+      const int absorbed = it == assembled_.end() ? 0 : it->second;
+      if (absorbed + 1 != packet.num_flits) [[unlikely]] {
+        // Only a planted fault gets here: asserts without an auditor,
+        // otherwise a wormhole violation (the packet is still delivered,
+        // as a Release build always did).
+        assert(auditor_ != nullptr &&
+               "tail arrived before the rest of its packet");
+        if (auditor_ != nullptr) {
+          auditor_->ReportViolation(
+              AuditInvariant::kWormhole, now,
+              "nic " + std::to_string(node_) + ": packet " +
+                  std::to_string(packet.id) + " tail after " +
+                  std::to_string(absorbed) + " of " +
+                  std::to_string(packet.num_flits - 1) + " flits");
+        }
+      }
 
       if (sink_ != nullptr && !sink_->Accept(packet, now)) {
         break;  // sink stalled: retry next cycle, backpressure holds
@@ -297,7 +310,9 @@ void Nic::DrainEjection(Cycle now) {
       buffer.pop_front();
       if (it != assembled_.end()) assembled_.erase(it);
       eject_held_[static_cast<std::size_t>(ci)] -= packet.num_flits;
-      assert(eject_held_[static_cast<std::size_t>(ci)] >= 0);
+      assert((auditor_ != nullptr ||
+              eject_held_[static_cast<std::size_t>(ci)] >= 0) &&
+             "ejection accounting underflow");
       ++stats_.packets_ejected[static_cast<std::size_t>(ci)];
       if (progress_sink_ != nullptr) ++*progress_sink_;
       stats_.packet_latency[static_cast<std::size_t>(ci)].Add(
@@ -333,124 +348,23 @@ bool Nic::Idle() const {
   return true;
 }
 
-namespace {
-
-void SaveNicStats(Serializer& s, const NicStats& st) {
-  for (const std::uint64_t n : st.packets_injected) s.U64(n);
-  for (const std::uint64_t n : st.flits_injected) s.U64(n);
-  for (const std::uint64_t n : st.packets_ejected) s.U64(n);
-  for (const std::uint64_t n : st.flits_ejected) s.U64(n);
-  for (const std::uint64_t n : st.packets_by_type) s.U64(n);
-  for (const RunningStats& r : st.packet_latency) r.Save(s);
-  for (const RunningStats& r : st.network_latency) r.Save(s);
-  s.U64(st.inject_stall_cycles);
-  s.U64(st.inject_drain_cycles);
-  for (const std::uint64_t n : st.qos_throttle_cycles) s.U64(n);
-  for (const Histogram& h : st.latency_histogram) h.Save(s);
-}
-
-void LoadNicStats(Deserializer& d, NicStats& st) {
-  for (std::uint64_t& n : st.packets_injected) n = d.U64();
-  for (std::uint64_t& n : st.flits_injected) n = d.U64();
-  for (std::uint64_t& n : st.packets_ejected) n = d.U64();
-  for (std::uint64_t& n : st.flits_ejected) n = d.U64();
-  for (std::uint64_t& n : st.packets_by_type) n = d.U64();
-  for (RunningStats& r : st.packet_latency) r.Load(d);
-  for (RunningStats& r : st.network_latency) r.Load(d);
-  st.inject_stall_cycles = d.U64();
-  st.inject_drain_cycles = d.U64();
-  for (std::uint64_t& n : st.qos_throttle_cycles) n = d.U64();
-  for (Histogram& h : st.latency_histogram) h.Load(d);
-}
-
-}  // namespace
-
-void Nic::Save(Serializer& s) const {
-  for (const auto& queue : inject_queues_) {
-    s.U64(queue.size());
-    for (const auto& [packet, dst] : queue) {
-      gnoc::Save(s, packet);
-      s.I32(dst.x);
-      s.I32(dst.y);
-    }
-  }
-  for (const ActiveSend& send : sends_) {
-    s.Bool(send.busy);
-    s.Bool(send.draining);
-    s.U64(send.remaining.size());
-    for (const Flit& f : send.remaining) gnoc::Save(s, f);
-  }
-  for (const int c : credits_) s.I32(c);
-  s.U64(send_rr_);
-  s.I32(boundary_);
-  for (const std::uint64_t n : epoch_flits_) s.U64(n);
-  s.U64(next_boundary_update_);
-  for (const auto& buffer : eject_buffers_) {
-    s.U64(buffer.size());
-    for (const Flit& f : buffer) gnoc::Save(s, f);
-  }
-  for (const int n : eject_held_) s.I32(n);
-  // Sorted by packet id so snapshot bytes are independent of the
-  // unordered_map's iteration order (behaviour is lookup-only).
-  const std::map<PacketId, int> sorted(assembled_.begin(), assembled_.end());
-  s.U64(sorted.size());
-  for (const auto& [id, flits] : sorted) {
-    s.U64(id);
-    s.I32(flits);
-  }
-  for (const std::int64_t t : qos_tokens_) s.I64(t);
-  for (const Cycle c : qos_refilled_) s.U64(c);
-  SaveNicStats(s, stats_);
-}
-
-void Nic::Load(Deserializer& d) {
-  for (auto& queue : inject_queues_) {
-    queue.clear();
-    const std::uint64_t n = d.U64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Packet packet;
-      gnoc::Load(d, packet);
-      Coord dst{};
-      dst.x = d.I32();
-      dst.y = d.I32();
-      queue.emplace_back(packet, dst);
-    }
-  }
+template <typename Ar>
+void Nic::Transfer(Ar& ar) {
+  for (auto& queue : inject_queues_) ar.Sized(queue);
   for (ActiveSend& send : sends_) {
-    send.busy = d.Bool();
-    send.draining = d.Bool();
-    send.remaining.clear();
-    const std::uint64_t n = d.U64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Flit f;
-      gnoc::Load(d, f);
-      send.remaining.push_back(f);
-    }
+    ar(send.busy, send.draining);
+    ar.Sized(send.remaining);
   }
-  for (int& c : credits_) c = d.I32();
-  send_rr_ = d.U64();
-  boundary_ = d.I32();
-  for (std::uint64_t& n : epoch_flits_) n = d.U64();
-  next_boundary_update_ = d.U64();
-  for (auto& buffer : eject_buffers_) {
-    buffer.clear();
-    const std::uint64_t n = d.U64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Flit f;
-      gnoc::Load(d, f);
-      buffer.push_back(f);
-    }
-  }
-  for (int& n : eject_held_) n = d.I32();
-  assembled_.clear();
-  const std::uint64_t n = d.U64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const PacketId id = d.U64();
-    assembled_[id] = d.I32();
-  }
-  for (std::int64_t& t : qos_tokens_) t = d.I64();
-  for (Cycle& c : qos_refilled_) c = d.U64();
-  LoadNicStats(d, stats_);
+  ar(credits_, send_rr_);
+  ar.InRange(boundary_, 0, config_.num_vcs + 1, "NIC VC boundary");
+  ar(epoch_flits_, next_boundary_update_);
+  for (auto& buffer : eject_buffers_) ar.Sized(buffer);
+  ar(eject_held_);
+  ar.Map(assembled_, [&ar](PacketId& id, int& flits) { ar(id, flits); });
+  ar(qos_tokens_, qos_refilled_, stats_);
 }
+
+void Nic::Save(Serializer& s) const { SaveFields(*this, s); }
+void Nic::Load(Deserializer& d) { LoadFields(*this, d); }
 
 }  // namespace gnoc

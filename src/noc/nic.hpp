@@ -96,6 +96,13 @@ struct NicStats {
   std::array<std::uint64_t, kNumClasses> qos_throttle_cycles{};
   /// Per-class end-to-end latency distribution (see kLatencyBucketWidth).
   std::array<Histogram, kNumClasses> latency_histogram;
+
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(packets_injected, flits_injected, packets_ejected, flits_ejected,
+       packets_by_type, packet_latency, network_latency, inject_stall_cycles,
+       inject_drain_cycles, qos_throttle_cycles, latency_histogram);
+  }
 };
 
 /// The NIC of one tile.
@@ -196,6 +203,8 @@ class Nic {
   /// reapplied by the owner at construction and not serialized.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar);  // the field list, in nic.cpp
 
  private:
   /// One in-progress packet transmission bound to an injection VC.

@@ -114,6 +114,13 @@ struct QosClassReport {
   std::uint64_t slo_windows = 0;  ///< windows in which the SLO was judged
   std::uint64_t slo_violation_windows = 0;  ///< windows whose p99 missed
   Cycle slo_time_in_violation = 0;  ///< cycles covered by violating windows
+
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(name, priority, rate, burst, reserved_vcs, p99_target, throttle_cycles,
+       packets_delivered, p99_latency, slo_windows, slo_violation_windows,
+       slo_time_in_violation);
+  }
 };
 
 /// The QoS section of a RunReport. Always carries the class names (so
@@ -131,6 +138,12 @@ struct QosReport {
   void WriteJson(JsonWriter& w) const;
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(enabled);
+    ar.InRange(arbitration, 0, 3, "QoS arbitration");
+    ar(classes);
+  }
 };
 
 }  // namespace gnoc

@@ -1,6 +1,7 @@
 #include "noc/router.hpp"
 
 #include <cassert>
+#include <string>
 
 #include "common/serialize.hpp"
 
@@ -139,7 +140,9 @@ void Router::AcceptCredit(Port out_port, VcId vc) {
   assert(vc >= 0 && vc < config_.num_vcs);
   OutputVc& ovc = Ovc(out_port, vc);
   ++ovc.credits;
-  assert(ovc.credits <= config_.vc_depth && "credit overflow");
+  // A planted fault may overflow: the auditor reports it.
+  assert((auditor_ != nullptr || ovc.credits <= config_.vc_depth) &&
+         "credit overflow");
 }
 
 void Router::Tick(Cycle now) {
@@ -214,6 +217,21 @@ void Router::RecycleOutputVcs() {
   }
 }
 
+void Router::ReportBrokenWormhole(std::size_t idx, const Flit& front,
+                                  Cycle now) {
+  // Only a planted fault (or a corrupt snapshot) gets here. With an
+  // auditor attached it is a wormhole violation to report; the flit is
+  // then routed as a head, as a Release build always did.
+  assert(auditor_ != nullptr &&
+         "non-head flit at front of an unrouted VC: wormhole broken");
+  if (auditor_ == nullptr) return;
+  auditor_->ReportViolation(
+      AuditInvariant::kWormhole, now,
+      "router " + std::to_string(node_) + " input VC " + std::to_string(idx) +
+          ": packet " + std::to_string(front.packet_id) + " seq " +
+          std::to_string(front.seq) + " at the front of an unrouted VC");
+}
+
 bool Router::RouteEligible(Cycle now) {
   // --- RC: compute the output port for input VCs whose front flit is a
   // head and whose current packet has no route yet.
@@ -228,8 +246,7 @@ bool Router::RouteEligible(Cycle now) {
     InputVc& ivc = input_vcs_[idx];
     if (ivc.route_valid) continue;
     const Flit& front = ivc.buffer.Front();
-    assert(IsHead(front) &&
-           "non-head flit at front of an unrouted VC: wormhole broken");
+    if (!IsHead(front)) [[unlikely]] ReportBrokenWormhole(idx, front, now);
     ivc.out_port = RouteFor(front.cls, front.dst_coord);
     ivc.vc_half = RouteHalfFor(front.cls, front.dst_coord);
     ivc.route_valid = true;
@@ -453,95 +470,36 @@ bool Router::OutputVcAllocated(Port out_port, VcId vc) const {
   return Ovc(out_port, vc).allocated;
 }
 
-void Router::Save(Serializer& s) const {
-  for (const InputVc& ivc : input_vcs_) {
-    ivc.buffer.Save(s);
-    s.Bool(ivc.route_valid);
-    s.U8(static_cast<std::uint8_t>(ivc.out_port));
-    s.I32(ivc.out_vc);
-    s.Bool(ivc.eject);
-    s.U8(static_cast<std::uint8_t>(ivc.vc_half));
+template <typename Ar>
+void Router::Transfer(Ar& ar) {
+  for (InputVc& ivc : input_vcs_) {
+    ivc.buffer.Transfer(ar, config_.num_vcs);
+    ar(ivc.route_valid);
+    ar.InRange(ivc.out_port, 0, num_ports_, "router out_port");
+    ar.InRange(ivc.out_vc, kInvalidVc, config_.num_vcs, "router out_vc");
+    ar(ivc.eject);
+    ar.InRange(ivc.vc_half, -1, 2, "router vc_half");
   }
-  for (const OutputVc& ovc : output_vcs_) {
-    s.Bool(ovc.allocated);
-    s.Bool(ovc.tail_sent);
-    s.I32(ovc.credits);
+  ar(output_vcs_);
+  for (VcId& b : boundaries_) {
+    ar.InRange(b, 0, config_.num_vcs + 1, "router VC boundary");
   }
-  for (const VcId b : boundaries_) s.I32(b);
-  for (const auto& per_port : epoch_flits_) {
-    for (const std::uint64_t n : per_port) s.U64(n);
+  ar(epoch_flits_, epoch_dirty_, next_boundary_update_, va_arb_,
+     sa_input_arb_, sa_output_arb_, qos_va_credit_, qos_sa1_credit_,
+     qos_sa2_credit_, stats_.flits_out, stats_.busy_cycles,
+     stats_.flits_forwarded, stats_.va_failures, stats_.sa_stalls,
+     stats_.credit_stall_by_vc, stats_.buffered_flit_cycles);
+  if constexpr (Ar::kLoading) {
+    buffered_ = 0;
+    for (std::size_t idx = 0; idx < input_vcs_.size(); ++idx) {
+      const VcBuffer& buffer = input_vcs_[idx].buffer;
+      front_ready_[idx] = buffer.empty() ? kNeverCycle : buffer.Front().ready;
+      buffered_ += static_cast<std::uint32_t>(buffer.size());
+    }
   }
-  s.Bool(epoch_dirty_);
-  s.U64(next_boundary_update_);
-  for (const auto& arb : va_arb_) arb->Save(s);
-  for (const auto& arb : sa_input_arb_) arb->Save(s);
-  for (const auto& arb : sa_output_arb_) arb->Save(s);
-  for (const auto& credit : qos_va_credit_) {
-    for (const int c : credit) s.I32(c);
-  }
-  for (const auto& credit : qos_sa1_credit_) {
-    for (const int c : credit) s.I32(c);
-  }
-  for (const auto& credit : qos_sa2_credit_) {
-    for (const int c : credit) s.I32(c);
-  }
-  for (const auto& per_port : stats_.flits_out) {
-    for (const std::uint64_t n : per_port) s.U64(n);
-  }
-  s.U64(stats_.busy_cycles);
-  s.U64(stats_.flits_forwarded);
-  s.U64(stats_.va_failures);
-  s.U64(stats_.sa_stalls);
-  for (const std::uint64_t n : stats_.credit_stall_by_vc) s.U64(n);
-  s.U64(stats_.buffered_flit_cycles);
 }
 
-void Router::Load(Deserializer& d) {
-  buffered_ = 0;
-  for (std::size_t idx = 0; idx < input_vcs_.size(); ++idx) {
-    InputVc& ivc = input_vcs_[idx];
-    ivc.buffer.Load(d, config_.num_vcs);
-    ivc.route_valid = d.Bool();
-    ivc.out_port = static_cast<Port>(d.U8());
-    ivc.out_vc = d.I32();
-    ivc.eject = d.Bool();
-    ivc.vc_half = static_cast<std::int8_t>(d.U8());
-    front_ready_[idx] =
-        ivc.buffer.empty() ? kNeverCycle : ivc.buffer.Front().ready;
-    buffered_ += static_cast<std::uint32_t>(ivc.buffer.size());
-  }
-  for (OutputVc& ovc : output_vcs_) {
-    ovc.allocated = d.Bool();
-    ovc.tail_sent = d.Bool();
-    ovc.credits = d.I32();
-  }
-  for (VcId& b : boundaries_) b = d.I32();
-  for (auto& per_port : epoch_flits_) {
-    for (std::uint64_t& n : per_port) n = d.U64();
-  }
-  epoch_dirty_ = d.Bool();
-  next_boundary_update_ = d.U64();
-  for (const auto& arb : va_arb_) arb->Load(d);
-  for (const auto& arb : sa_input_arb_) arb->Load(d);
-  for (const auto& arb : sa_output_arb_) arb->Load(d);
-  for (auto& credit : qos_va_credit_) {
-    for (int& c : credit) c = d.I32();
-  }
-  for (auto& credit : qos_sa1_credit_) {
-    for (int& c : credit) c = d.I32();
-  }
-  for (auto& credit : qos_sa2_credit_) {
-    for (int& c : credit) c = d.I32();
-  }
-  for (auto& per_port : stats_.flits_out) {
-    for (std::uint64_t& n : per_port) n = d.U64();
-  }
-  stats_.busy_cycles = d.U64();
-  stats_.flits_forwarded = d.U64();
-  stats_.va_failures = d.U64();
-  stats_.sa_stalls = d.U64();
-  for (std::uint64_t& n : stats_.credit_stall_by_vc) n = d.U64();
-  stats_.buffered_flit_cycles = d.U64();
-}
+void Router::Save(Serializer& s) const { SaveFields(*this, s); }
+void Router::Load(Deserializer& d) { LoadFields(*this, d); }
 
 }  // namespace gnoc

@@ -325,6 +325,8 @@ class Router {
   /// are re-derived from the loaded buffers.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar);  // the field list, in router.cpp
 
  private:
   /// Plants a stale buffered count for the scheduler-coverage mutation
@@ -347,6 +349,11 @@ class Router {
     bool allocated = false;
     bool tail_sent = false;  ///< tail forwarded; waiting for drain (atomic)
     int credits = 0;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(allocated, tail_sent, credits);
+    }
   };
 
   /// Frees output VCs whose packet has fully drained downstream.
@@ -386,6 +393,9 @@ class Router {
   /// is eligible this cycle: VA/SA/ST then cannot touch any state (no
   /// requests, so no arbiter call and no stall counter) and are skipped.
   bool RouteEligible(Cycle now);
+  /// A body/tail flit heads an unrouted VC: asserts without an auditor,
+  /// otherwise reports a kWormhole violation.
+  void ReportBrokenWormhole(std::size_t idx, const Flit& front, Cycle now);
   void AllocateVcs(Cycle now);  // VA
   /// SA phase 1: each input port nominates one VC into `nominee_`.
   /// Returns false when no port nominated (SA2/ST would change nothing).

@@ -66,6 +66,11 @@ struct TelemetryTrack {
   VcId vc = kInvalidVc;
   TrafficClass cls = TrafficClass::kRequest;
   TimeSeries series;
+
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(metric, entity, node, port, vc, cls, series);
+  }
 };
 
 /// Windowed packet-latency distribution of one traffic class. `label` is
@@ -77,6 +82,11 @@ struct TelemetryLatency {
   std::string label;
   HistogramSeries windows;
   double p99_target = 0.0;
+
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(cls, label, p99_target, windows);
+  }
 };
 
 /// SLO violation accounting over one class's windowed latency series: a
@@ -133,6 +143,13 @@ struct TelemetryReport {
   /// Snapshot support (DESIGN.md §10).
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(enabled, interval, sampled_until);
+    ar.Sized(tracks);
+    ar.Sized(latency, TelemetryLatency{TrafficClass::kRequest, "",
+                                       HistogramSeries(1, 0, 1.0, 1)});
+  }
 };
 
 /// Declares warm-up complete when K consecutive non-empty windows of mean
@@ -219,6 +236,8 @@ class Telemetry {
   /// Wiring (router/NIC pointers, track topology) is reconstructed.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar);  // the field list, in telemetry.cpp
 
  private:
   struct RouterState {

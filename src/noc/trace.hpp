@@ -31,6 +31,13 @@ struct TraceRecord {
   std::uint64_t addr = 0;
 
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
+
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(cycle, src, dst);
+    ar.InRange(type, 0, kNumPacketTypes, "trace packet type");
+    ar(num_flits, addr);
+  }
 };
 
 /// Accumulates records and serializes them to CSV.
@@ -51,6 +58,10 @@ class TraceWriter {
   /// Snapshot support (DESIGN.md §10): the accumulated records.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar.Sized(records_);
+  }
 
  private:
   std::vector<TraceRecord> records_;
@@ -92,6 +103,10 @@ class RecordingFabric final : public Fabric {
   /// Saves the wrapped fabric followed by the recorded trace.
   void Save(Serializer& s) const override;
   void Load(Deserializer& d) override;
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(*inner_, trace_);
+  }
   int num_networks() const override;
   Network& net(TrafficClass cls) override;
   const Network& net(TrafficClass cls) const override;

@@ -266,12 +266,16 @@ GpuRunStats RunCellCheckpointed(const SchemeSpec& scheme,
   GpuSystem gpu(EffectiveConfig(scheme, options), workload);
   std::uint8_t phase = kPhaseWarmup;
   Cycle done_in_phase = 0;
+  // The snapshot layout: phase tag, cycles done in that phase, the system.
+  const auto transfer = [&](auto& ar) {
+    ar.InRange(phase, kPhaseWarmup, kPhaseMeasure + 1, "sweep cell phase");
+    ar(done_in_phase, gpu);
+  };
   if (options.resume && std::filesystem::exists(snap_path)) {
     const std::string payload = ReadSnapshotFile(snap_path, cell_fingerprint);
     Deserializer d(payload);
-    phase = d.U8();
-    done_in_phase = d.U64();
-    gpu.Load(d);
+    LoadArchive ar(d);
+    transfer(ar);
     d.Finish();
   }
   Cycle since_snapshot = 0;
@@ -280,9 +284,8 @@ GpuRunStats RunCellCheckpointed(const SchemeSpec& scheme,
     if (++since_snapshot < options.checkpoint_interval) return;
     since_snapshot = 0;
     Serializer s;
-    s.U8(phase);
-    s.U64(done_in_phase);
-    gpu.Save(s);
+    SaveArchive ar(s);
+    transfer(ar);
     WriteSnapshotFile(snap_path, cell_fingerprint, s.bytes());
   };
   if (phase == kPhaseWarmup) {

@@ -50,6 +50,13 @@ struct GpuRunStats {
   /// QoS outcome (enabled == false unless GpuConfig::qos configures any
   /// class): per-class delivery, throttling and SLO verdicts.
   QosReport qos;
+
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(ipc, cycles, instructions, network, packets_by_type, request_flits,
+       reply_flits, l2_miss_rate, dram_row_hit_rate, avg_read_latency,
+       deadlocked, audit, telemetry, qos);
+  }
 };
 
 /// Serialization of measured results (checkpoint cell files).
@@ -118,6 +125,12 @@ class GpuSystem {
   /// API below, which checks the fingerprint.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    // xport_ is the outermost fabric: the trace recorder (which chains to
+    // the real fabric) when recording, the fabric itself otherwise.
+    ar(*xport_, sms_, mcs_, measured_since_);
+  }
 
   /// Writes/reads a framed snapshot file (magic + version + fingerprint +
   /// CRC; see common/serialize.hpp). LoadSnapshot throws SerializeError on

@@ -9,12 +9,15 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "dse/job.hpp"
 #include "dse/server.hpp"
+#include "dse/space.hpp"
 
 namespace gnoc {
 namespace {
@@ -227,6 +230,42 @@ TEST(JobSpecTest, RejectsMalformedSpecs) {
           << e.what();
     }
   }
+  // Search axis values pass the num_vcs / vc_depth key checks, with the
+  // messages of num_vcs=0 / vc_depth=0.
+  const std::vector<std::pair<std::string, std::string>> axes = {
+      {R"("vc_counts": [0])", "num_vcs: must be >= 1"},
+      {R"("vc_counts": [2, -4])", "num_vcs: must be >= 1"},
+      {R"("vc_depths": [0])", "vc_depth: must be >= 1"},
+  };
+  for (const auto& [axis, message] : axes) {
+    try {
+      JobSpec::Parse(R"({"type": "search", "space": {)" + axis + "}}");
+      ADD_FAILURE() << axis << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message) << axis;
+    }
+  }
+  EXPECT_THROW(JobSpec::Parse(R"({"type": "search",
+                                  "space": {"vc_depths": [2.5]}})"),
+               std::invalid_argument);
+}
+
+// pareto_search applies only the run flags and radix= of the shared set;
+// the other grid keys fail as unknown flags instead of being ignored.
+TEST(InputSurfaceTest, ParetoSearchRejectsFlagsItDoesNotApply) {
+  FlagSet search("pareto_search", "");
+  bench::RegisterSearchFlags(search);
+  EXPECT_EQ(FlagError(search, {"radix=4", "workloads=BFS", "scale=0.1"}), "");
+  for (const char* token :
+       {"topology=torus", "num_vcs=4", "qos=strict", "circulant_s1=2",
+        "json=out.json", "audit=true", "scheduling=soa"}) {
+    EXPECT_EQ(FlagError(search, {token}).rfind("unknown flag", 0), 0u)
+        << token;
+  }
+  // The axis overrides check their values like the flags they stand for.
+  EXPECT_THROW(ParseAxisValue("num_vcs", "0"), std::invalid_argument);
+  EXPECT_THROW(ParseAxisValue("vc_depth", "four"), std::invalid_argument);
+  EXPECT_EQ(ParseAxisValue("num_vcs", "4"), 4);
 }
 
 class DseServerTest : public ::testing::Test {

@@ -1,14 +1,17 @@
-// Tests of the two scheduling modes: name parsing (and clean failure for
-// removed modes on every input surface), full-vs-soa bit identity across
-// the design space, the soa skip rule's cost claim, watchdog state across a
-// snapshot, scheduler-coverage auditing, and the route-LUT fast path
-// agreeing with the analytic routing function.
+// Tests of the two scheduling modes (DESIGN.md §14): name parsing (and
+// clean failure for removed modes on every input surface), full-vs-soa bit
+// identity across routing x VC policy x arbiter on square and non-square
+// meshes, topology, load and the GPU design space, snapshot round-trips
+// through the soa plane rebuild, watchdog parity (also across a snapshot),
+// the soa skip rule's cost claims, scheduler-coverage auditing, and the
+// route-LUT fast path agreeing with the analytic routing function.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -36,6 +39,7 @@ TEST(SchedulingModeTest, NamesRoundTrip) {
   EXPECT_EQ(ParseSchedulingMode("full"), SchedulingMode::kFull);
   EXPECT_EQ(ParseSchedulingMode("FULL"), SchedulingMode::kFull);
   EXPECT_EQ(ParseSchedulingMode("soa"), SchedulingMode::kSoa);
+  EXPECT_EQ(ParseSchedulingMode("SOA"), SchedulingMode::kSoa);
   // Unknown and removed names are rejected with the valid choices.
   for (const char* name : {"lazy", "active-set", "active", "event"}) {
     try {
@@ -161,50 +165,70 @@ std::string NetworkFingerprint(NetworkConfig cfg, SchedulingMode mode,
   return out.str();
 }
 
+constexpr RoutingAlgorithm kRoutings[] = {
+    RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kXYYX};
+constexpr VcPolicyKind kPolicies[] = {
+    VcPolicyKind::kSplit, VcPolicyKind::kFullMonopolize,
+    VcPolicyKind::kPartialMonopolize, VcPolicyKind::kAsymmetric,
+    VcPolicyKind::kDynamic};
+constexpr ArbiterKind kArbiters[] = {ArbiterKind::kRoundRobin,
+                                     ArbiterKind::kMatrix};
+
 // kFull and kSoa must agree bit-for-bit — stats, audit counters and
-// telemetry windows — for every routing x VC-policy combination, with the
-// auditor (including the soa coverage sweep) and telemetry running.
+// telemetry windows — for every routing x VC-policy x arbiter combination,
+// with the auditor (including the soa coverage sweep) and telemetry
+// running, on a square 4x4 mesh and on a non-square 8x4 one, where XY, YX
+// and XY-YX routes differ in length and the busiest links are the long X
+// rows.
 TEST(SchedulingBitIdentityTest, OpenLoopMatrixMatchesFullMode) {
-  const RoutingAlgorithm routings[] = {
-      RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kXYYX};
-  const VcPolicyKind policies[] = {VcPolicyKind::kSplit,
-                                   VcPolicyKind::kAsymmetric,
-                                   VcPolicyKind::kDynamic};
-  for (RoutingAlgorithm routing : routings) {
-    for (VcPolicyKind policy : policies) {
-      NetworkConfig cfg;
-      cfg.width = 4;
-      cfg.height = 4;
-      cfg.num_vcs = 4;
-      cfg.vc_depth = 4;
-      cfg.routing = routing;
-      cfg.vc_policy = policy;
-      cfg.dynamic_epoch = 64;
-      const std::string label =
-          std::string(RoutingName(routing)) + "/" + VcPolicyName(policy);
-      EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1),
-                NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.1))
-          << label;
+  for (const auto& [width, height] : {std::pair{4, 4}, std::pair{8, 4}}) {
+    for (RoutingAlgorithm routing : kRoutings) {
+      for (VcPolicyKind policy : kPolicies) {
+        for (ArbiterKind arbiter : kArbiters) {
+          NetworkConfig cfg;
+          cfg.width = width;
+          cfg.height = height;
+          cfg.num_vcs = 4;
+          cfg.vc_depth = 4;
+          cfg.routing = routing;
+          cfg.vc_policy = policy;
+          cfg.arbiter = arbiter;
+          cfg.dynamic_epoch = 64;
+          const std::string label =
+              std::to_string(width) + "x" + std::to_string(height) + " " +
+              RoutingName(routing) + "/" + VcPolicyName(policy) + "/" +
+              ArbiterKindName(arbiter);
+          EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1),
+                    NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.1))
+              << label;
+        }
+      }
     }
   }
 }
 
-// Near saturation with shallow buffers, both arbiter microarchitectures
-// and both VC-reallocation rules: the credit-stall, VA-failure and
-// non-atomic recycle paths the default configuration rarely takes.
+// Near saturation almost every VC is occupied, so the eligibility planes
+// are dense and the skip rule almost never fires — the opposite regime from
+// the sparse matrix above. Shallow and default buffers, both arbiter
+// microarchitectures and both VC-reallocation rules cover the credit-stall,
+// VA-failure and non-atomic recycle paths the default configuration rarely
+// takes.
 TEST(SchedulingBitIdentityTest, HighLoadMatchesFullMode) {
-  for (ArbiterKind arbiter : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
-    for (bool atomic : {true, false}) {
-      NetworkConfig cfg;
-      cfg.width = 4;
-      cfg.height = 4;
-      cfg.num_vcs = 4;
-      cfg.vc_depth = 2;
-      cfg.arbiter = arbiter;
-      cfg.atomic_vc_realloc = atomic;
-      EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.4),
-                NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.4))
-          << ArbiterKindName(arbiter) << " atomic=" << atomic;
+  for (int depth : {2, 4}) {
+    for (ArbiterKind arbiter : kArbiters) {
+      for (bool atomic : {true, false}) {
+        NetworkConfig cfg;
+        cfg.width = 4;
+        cfg.height = 4;
+        cfg.num_vcs = 4;
+        cfg.vc_depth = depth;
+        cfg.arbiter = arbiter;
+        cfg.atomic_vc_realloc = atomic;
+        EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.4),
+                  NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.4))
+            << "depth=" << depth << " " << ArbiterKindName(arbiter)
+            << " atomic=" << atomic;
+      }
     }
   }
 }
@@ -260,11 +284,23 @@ void ExpectGpuSoaMatchesFull(GpuConfig cfg, const std::string& label) {
   ExpectRunsEqual(a, b, label);
 }
 
-// The full GPU model on the non-mesh topologies: wrap links with dateline
-// VC halves, concentrated routers with four local ports, circulant chords.
+// The non-mesh topologies change the link planes' geometry: wrap links
+// with dateline VC halves, concentrated routers with four local ports,
+// circulant chords. Checked on an open-loop 4x4 network and on the full GPU
+// model.
 TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
   for (TopologyKind topology : {TopologyKind::kTorus, TopologyKind::kCMesh,
                                 TopologyKind::kCirculant}) {
+    NetworkConfig net;
+    net.topology = topology;
+    net.width = 4;
+    net.height = 4;
+    net.num_vcs = 4;
+    net.vc_depth = 4;
+    EXPECT_EQ(NetworkFingerprint(net, SchedulingMode::kFull, 0.1),
+              NetworkFingerprint(net, SchedulingMode::kSoa, 0.1))
+        << TopologyName(topology);
+
     GpuConfig cfg = GpuConfig::Baseline();
     cfg.topology = topology;
     cfg.num_vcs = 4;
@@ -272,30 +308,43 @@ TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
   }
 }
 
-// Two physical networks (one per class), each with its own SoA core, for
-// every placement x routing combination that is deadlock-safe.
+// Every deadlock-safe placement x routing x VC-policy combination of the
+// full GPU model on one virtually divided network, and every placement x
+// routing on two physical networks (one per class, each with its own SoA
+// core and 2 of the 4 VCs; each network runs fully monopolized whatever
+// the configured policy, so the policy loop is skipped there).
 TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
-  const RoutingAlgorithm routings[] = {
-      RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kXYYX};
   int compared = 0;
-  for (McPlacement placement : kAllPlacements) {
-    for (RoutingAlgorithm routing : routings) {
-      GpuConfig cfg = GpuConfig::Baseline();
-      cfg.division = NetworkDivision::kPhysical;
-      cfg.num_vcs = 4;
-      cfg.placement = placement;
-      cfg.routing = routing;
-      const std::string label = std::string(McPlacementName(placement)) +
-                                "/" + RoutingName(routing) + " (dual)";
-      try {
-        ExpectGpuSoaMatchesFull(cfg, label);
-        ++compared;
-      } catch (const std::invalid_argument&) {
-        // Deadlock-unsafe combination: correctly refused up front.
+  for (NetworkDivision division :
+       {NetworkDivision::kVirtual, NetworkDivision::kPhysical}) {
+    for (McPlacement placement : kAllPlacements) {
+      for (RoutingAlgorithm routing : kRoutings) {
+        for (VcPolicyKind policy : kPolicies) {
+          if (division == NetworkDivision::kPhysical &&
+              policy != VcPolicyKind::kSplit) {
+            continue;
+          }
+          GpuConfig cfg = GpuConfig::Baseline();
+          cfg.division = division;
+          if (division == NetworkDivision::kPhysical) cfg.num_vcs = 4;
+          cfg.placement = placement;
+          cfg.routing = routing;
+          cfg.vc_policy = policy;
+          const std::string label =
+              std::string(McPlacementName(placement)) + "/" +
+              RoutingName(routing) + "/" + VcPolicyName(policy) +
+              (division == NetworkDivision::kPhysical ? " (dual)" : "");
+          try {
+            ExpectGpuSoaMatchesFull(cfg, label);
+            ++compared;
+          } catch (const std::invalid_argument&) {
+            // Deadlock-unsafe combination: correctly refused up front.
+          }
+        }
       }
     }
   }
-  EXPECT_GE(compared, 6) << "design space unexpectedly small";
+  EXPECT_GE(compared, 18) << "design space unexpectedly small";
 }
 
 // The sweep engine forwards its scheduling override into every cell.
@@ -412,6 +461,189 @@ TEST(SchedulingWatchdogTest, CheckpointMidStallKeepsDeadlockCycle) {
     ASSERT_GT(after_resume, 0u) << label << ": restore masked the deadlock";
     EXPECT_EQ(after_resume, uninterrupted) << label;
   }
+}
+
+// --- snapshot round-trip through the SoA converter -------------------------
+
+// Saving mid-run from an SoA-mode network and restoring into a fresh one
+// must resume bit-identically. The snapshot format carries only object
+// state; the restore path must rebuild the routers' front-ready caches for
+// flits parked mid-VC (Router::Load) and the core's due planes for flits
+// mid-channel (RebuildFromObjects).
+TEST(SoaSnapshotTest, SoaModeResumesBitIdentically) {
+  NetworkConfig cfg;
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.num_vcs = 4;
+  cfg.vc_depth = 4;
+  cfg.vc_policy = VcPolicyKind::kDynamic;
+  cfg.dynamic_epoch = 64;
+  cfg.scheduling = SchedulingMode::kSoa;
+
+  struct Sink : PacketSink {
+    bool Accept(const Packet&, Cycle) override { return true; }
+  } sink;
+  const auto make_net = [&] {
+    auto net = std::make_unique<Network>(cfg);
+    for (NodeId n = 0; n < net->num_nodes(); ++n) net->SetSink(n, &sink);
+    return net;
+  };
+  // Deterministic all-to-all burst: plenty of contention mid-flight.
+  const auto inject_burst = [](Network& net) {
+    for (NodeId n = 0; n < net.num_nodes(); ++n) {
+      Packet p;
+      p.src = n;
+      p.dst = net.num_nodes() - 1 - n;
+      if (p.dst == p.src) continue;
+      p.type = PacketType::kReadRequest;
+      p.num_flits = 4;
+      ASSERT_TRUE(net.Inject(p));
+    }
+  };
+  const auto fingerprint = [](Network& net) {
+    Serializer out;
+    net.Save(out);
+    return out.TakeBytes();
+  };
+
+  // Uninterrupted run: burst, then 500 cycles (drains and then idles over
+  // several dynamic-epoch boundaries).
+  auto plain = make_net();
+  inject_burst(*plain);
+  for (int c = 0; c < 500; ++c) plain->Tick();
+
+  // Interrupted run: snapshot at cycle 10 while flits are in flight,
+  // restore into a fresh SoA-mode network, replay the remaining cycles.
+  auto first = make_net();
+  inject_burst(*first);
+  for (int c = 0; c < 10; ++c) first->Tick();
+  ASSERT_GT(first->FlitsInFlight(), 0u) << "snapshot caught an idle instant";
+  Serializer s;
+  first->Save(s);
+
+  auto second = make_net();
+  Deserializer d(s.bytes());
+  second->Load(d);
+  d.Finish();
+  EXPECT_GT(second->FlitsInFlight(), 0u);
+  for (int c = 0; c < 490; ++c) second->Tick();
+
+  EXPECT_EQ(fingerprint(*plain), fingerprint(*second));
+}
+
+// The snapshot bytes themselves are mode-independent object state: a
+// full-mode network's mid-flight snapshot must restore into an SoA-mode
+// network and drain to the same final summary the full-mode run reaches.
+TEST(SoaSnapshotTest, FullModeSnapshotRestoresIntoSoaMode) {
+  NetworkConfig cfg;
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.num_vcs = 4;
+  cfg.vc_depth = 4;
+
+  struct Sink : PacketSink {
+    bool Accept(const Packet&, Cycle) override { return true; }
+  } sink;
+  const auto make_net = [&](SchedulingMode mode) {
+    NetworkConfig c = cfg;
+    c.scheduling = mode;
+    auto net = std::make_unique<Network>(c);
+    for (NodeId n = 0; n < net->num_nodes(); ++n) net->SetSink(n, &sink);
+    return net;
+  };
+  const auto summarize = [](Network& net) {
+    std::ostringstream out;
+    out.precision(17);
+    const NetworkSummary s = net.Summarize();
+    out << net.now() << ' ' << net.FlitsInFlight() << ' '
+        << s.flits_forwarded;
+    for (int c = 0; c < kNumClasses; ++c) {
+      const auto ci = static_cast<std::size_t>(c);
+      out << ' ' << s.packets_ejected[ci] << ' '
+          << s.packet_latency[ci].mean();
+    }
+    return out.str();
+  };
+
+  auto full = make_net(SchedulingMode::kFull);
+  for (NodeId n = 0; n < full->num_nodes(); ++n) {
+    Packet p;
+    p.src = n;
+    p.dst = full->num_nodes() - 1 - n;
+    if (p.dst == p.src) continue;
+    p.type = PacketType::kReadRequest;
+    p.num_flits = 4;
+    ASSERT_TRUE(full->Inject(p));
+  }
+  for (int c = 0; c < 10; ++c) full->Tick();
+  ASSERT_GT(full->FlitsInFlight(), 0u);
+  Serializer s;
+  full->Save(s);
+  for (int c = 0; c < 490; ++c) full->Tick();
+
+  auto soa = make_net(SchedulingMode::kSoa);
+  Deserializer d(s.bytes());
+  soa->Load(d);
+  d.Finish();
+  EXPECT_GT(soa->FlitsInFlight(), 0u);
+  for (int c = 0; c < 490; ++c) soa->Tick();
+  EXPECT_EQ(summarize(*full), summarize(*soa));
+}
+
+// --- watchdog parity -------------------------------------------------------
+
+// The SoA tick must feed the deadlock watchdog the same idle/progress
+// signal as full mode: a wedged network is declared dead at the same cycle.
+Cycle DeadlockCycle(SchedulingMode mode) {
+  NetworkConfig cfg;
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.deadlock_threshold = 200;
+  cfg.scheduling = mode;
+  Network net(cfg);
+  struct RefusingSink : PacketSink {
+    bool Accept(const Packet&, Cycle) override { return false; }
+  } sink;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) net.SetSink(n, &sink);
+  Packet p;
+  p.src = 0;
+  p.dst = 15;
+  p.type = PacketType::kReadRequest;
+  p.num_flits = 3;
+  EXPECT_TRUE(net.Inject(p));
+  for (int c = 0; c < 2000; ++c) {
+    net.Tick();
+    if (net.Deadlocked()) return net.now();
+  }
+  return 0;  // never fired
+}
+
+TEST(SoaWatchdogTest, FiresAtTheSameCycleAsFullMode) {
+  const Cycle full = DeadlockCycle(SchedulingMode::kFull);
+  const Cycle soa = DeadlockCycle(SchedulingMode::kSoa);
+  ASSERT_GT(full, 0u) << "watchdog never fired in full mode";
+  EXPECT_EQ(full, soa);
+}
+
+// --- cost floor ------------------------------------------------------------
+
+// An idle SoA network ticks no routers and visits no channels: the only
+// per-cycle component steps are the NIC ticks (the SoA core ticks every
+// NIC every cycle; see DESIGN.md §14).
+TEST(SoaCostTest, IdleNetworkTicksOnlyNics) {
+  NetworkConfig cfg;
+  cfg.scheduling = SchedulingMode::kSoa;
+  Network soa(cfg);
+  for (int c = 0; c < 1000; ++c) soa.Tick();
+
+  cfg.scheduling = SchedulingMode::kFull;
+  Network full(cfg);
+  for (int c = 0; c < 1000; ++c) full.Tick();
+
+  // 64 NIC steps per cycle, nothing else — well under full mode's
+  // every-component bill.
+  EXPECT_EQ(soa.TickSteps(), 1000u * 64u);
+  EXPECT_GT(full.TickSteps(), soa.TickSteps());
 }
 
 // --- scheduler-coverage invariant ------------------------------------------
