@@ -267,10 +267,7 @@ GpuRunStats RunCellCheckpointed(const SchemeSpec& scheme,
   std::uint8_t phase = kPhaseWarmup;
   Cycle done_in_phase = 0;
   // The snapshot layout: phase tag, cycles done in that phase, the system.
-  const auto transfer = [&](auto& ar) {
-    ar.InRange(phase, kPhaseWarmup, kPhaseMeasure + 1, "sweep cell phase");
-    ar(done_in_phase, gpu);
-  };
+  const auto transfer = [&](auto& ar) { ar(phase, done_in_phase, gpu); };
   if (options.resume && std::filesystem::exists(snap_path)) {
     const std::string payload = ReadSnapshotFile(snap_path, cell_fingerprint);
     Deserializer d(payload);
