@@ -11,7 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
+#include <iterator>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -35,11 +35,8 @@ namespace {
 
 TEST(SchedulingModeTest, NamesRoundTrip) {
   EXPECT_STREQ(SchedulingModeName(SchedulingMode::kFull), "full");
-  EXPECT_STREQ(SchedulingModeName(SchedulingMode::kSoa), "soa");
   EXPECT_EQ(ParseSchedulingMode("full"), SchedulingMode::kFull);
   EXPECT_EQ(ParseSchedulingMode("FULL"), SchedulingMode::kFull);
-  EXPECT_EQ(ParseSchedulingMode("soa"), SchedulingMode::kSoa);
-  EXPECT_EQ(ParseSchedulingMode("SOA"), SchedulingMode::kSoa);
   // Unknown and removed names are rejected with the valid choices.
   for (const char* name : {"lazy", "active-set", "active", "event"}) {
     try {
@@ -50,6 +47,12 @@ TEST(SchedulingModeTest, NamesRoundTrip) {
           << e.what();
     }
   }
+}
+
+TEST(SoaModeTest, NamesRoundTrip) {
+  EXPECT_STREQ(SchedulingModeName(SchedulingMode::kSoa), "soa");
+  EXPECT_EQ(ParseSchedulingMode("soa"), SchedulingMode::kSoa);
+  EXPECT_EQ(ParseSchedulingMode("SOA"), SchedulingMode::kSoa);
 }
 
 /// Parses `tokens` through `flags`; returns the CliError message, or ""
@@ -174,64 +177,76 @@ constexpr VcPolicyKind kPolicies[] = {
 constexpr ArbiterKind kArbiters[] = {ArbiterKind::kRoundRobin,
                                      ArbiterKind::kMatrix};
 
-// kFull and kSoa must agree bit-for-bit — stats, audit counters and
-// telemetry windows — for every routing x VC-policy x arbiter combination,
-// with the auditor (including the soa coverage sweep) and telemetry
-// running, on a square 4x4 mesh and on a non-square 8x4 one, where XY, YX
-// and XY-YX routes differ in length and the busiest links are the long X
-// rows.
-TEST(SchedulingBitIdentityTest, OpenLoopMatrixMatchesFullMode) {
-  for (const auto& [width, height] : {std::pair{4, 4}, std::pair{8, 4}}) {
-    for (RoutingAlgorithm routing : kRoutings) {
-      for (VcPolicyKind policy : kPolicies) {
-        for (ArbiterKind arbiter : kArbiters) {
-          NetworkConfig cfg;
-          cfg.width = width;
-          cfg.height = height;
-          cfg.num_vcs = 4;
-          cfg.vc_depth = 4;
-          cfg.routing = routing;
-          cfg.vc_policy = policy;
-          cfg.arbiter = arbiter;
-          cfg.dynamic_epoch = 64;
-          const std::string label =
-              std::to_string(width) + "x" + std::to_string(height) + " " +
-              RoutingName(routing) + "/" + VcPolicyName(policy) + "/" +
-              ArbiterKindName(arbiter);
-          EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1),
-                    NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.1))
-              << label;
-        }
+/// kFull and kSoa must agree bit-for-bit — stats, audit counters and
+/// telemetry windows — for every routing x VC-policy x arbiter combination
+/// on a `width` x `height` mesh, with the auditor (including the soa
+/// coverage sweep) and telemetry running.
+void ExpectOpenLoopMatrixMatches(int width, int height) {
+  for (RoutingAlgorithm routing : kRoutings) {
+    for (VcPolicyKind policy : kPolicies) {
+      for (ArbiterKind arbiter : kArbiters) {
+        NetworkConfig cfg;
+        cfg.width = width;
+        cfg.height = height;
+        cfg.num_vcs = 4;
+        cfg.vc_depth = 4;
+        cfg.routing = routing;
+        cfg.vc_policy = policy;
+        cfg.arbiter = arbiter;
+        cfg.dynamic_epoch = 64;
+        const std::string label =
+            std::to_string(width) + "x" + std::to_string(height) + " " +
+            RoutingName(routing) + "/" + VcPolicyName(policy) + "/" +
+            ArbiterKindName(arbiter);
+        EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1),
+                  NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.1))
+            << label;
       }
     }
   }
 }
 
+// The open-loop matrix on a square 4x4 mesh.
+TEST(SchedulingBitIdentityTest, OpenLoopMatrixMatchesFullMode) {
+  ExpectOpenLoopMatrixMatches(4, 4);
+}
+
+// The same matrix on a non-square 8x4 mesh, where XY, YX and XY-YX routes
+// differ in length and the busiest links are the long X rows.
+TEST(SoaBitIdentityTest, FourWayOpenLoopMatrixAgrees) {
+  ExpectOpenLoopMatrixMatches(8, 4);
+}
+
 // Near saturation almost every VC is occupied, so the eligibility planes
 // are dense and the skip rule almost never fires — the opposite regime from
-// the sparse matrix above. Shallow and default buffers, both arbiter
-// microarchitectures and both VC-reallocation rules cover the credit-stall,
-// VA-failure and non-atomic recycle paths the default configuration rarely
-// takes.
-TEST(SchedulingBitIdentityTest, HighLoadMatchesFullMode) {
-  for (int depth : {2, 4}) {
-    for (ArbiterKind arbiter : kArbiters) {
-      for (bool atomic : {true, false}) {
-        NetworkConfig cfg;
-        cfg.width = 4;
-        cfg.height = 4;
-        cfg.num_vcs = 4;
-        cfg.vc_depth = depth;
-        cfg.arbiter = arbiter;
-        cfg.atomic_vc_realloc = atomic;
-        EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.4),
-                  NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.4))
-            << "depth=" << depth << " " << ArbiterKindName(arbiter)
-            << " atomic=" << atomic;
-      }
+// the sparse matrix above. Both arbiter microarchitectures and both
+// VC-reallocation rules cover the VA-failure and non-atomic recycle paths
+// the default configuration rarely takes.
+void ExpectHighLoadMatches(int depth) {
+  for (ArbiterKind arbiter : kArbiters) {
+    for (bool atomic : {true, false}) {
+      NetworkConfig cfg;
+      cfg.width = 4;
+      cfg.height = 4;
+      cfg.num_vcs = 4;
+      cfg.vc_depth = depth;
+      cfg.arbiter = arbiter;
+      cfg.atomic_vc_realloc = atomic;
+      EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.4),
+                NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.4))
+          << "depth=" << depth << " " << ArbiterKindName(arbiter)
+          << " atomic=" << atomic;
     }
   }
 }
+
+// Shallow buffers add credit stalls to the high-load regime.
+TEST(SchedulingBitIdentityTest, HighLoadMatchesFullMode) {
+  ExpectHighLoadMatches(2);
+}
+
+// The high-load regime with the default buffer depth.
+TEST(SoaBitIdentityTest, HighLoadMatchesFullMode) { ExpectHighLoadMatches(4); }
 
 // --- bit identity, full GPU model ------------------------------------------
 
@@ -284,13 +299,24 @@ void ExpectGpuSoaMatchesFull(GpuConfig cfg, const std::string& label) {
   ExpectRunsEqual(a, b, label);
 }
 
+constexpr TopologyKind kTopologies[] = {
+    TopologyKind::kTorus, TopologyKind::kCMesh, TopologyKind::kCirculant};
+
 // The non-mesh topologies change the link planes' geometry: wrap links
 // with dateline VC halves, concentrated routers with four local ports,
-// circulant chords. Checked on an open-loop 4x4 network and on the full GPU
-// model.
+// circulant chords. Checked here on the full GPU model.
 TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
-  for (TopologyKind topology : {TopologyKind::kTorus, TopologyKind::kCMesh,
-                                TopologyKind::kCirculant}) {
+  for (TopologyKind topology : kTopologies) {
+    GpuConfig cfg = GpuConfig::Baseline();
+    cfg.topology = topology;
+    cfg.num_vcs = 4;
+    ExpectGpuSoaMatchesFull(cfg, TopologyName(topology));
+  }
+}
+
+// The same topologies on an open-loop 4x4 network.
+TEST(SoaBitIdentityTest, TopologyMatrixMatchesFullMode) {
+  for (TopologyKind topology : kTopologies) {
     NetworkConfig net;
     net.topology = topology;
     net.width = 4;
@@ -300,51 +326,58 @@ TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
     EXPECT_EQ(NetworkFingerprint(net, SchedulingMode::kFull, 0.1),
               NetworkFingerprint(net, SchedulingMode::kSoa, 0.1))
         << TopologyName(topology);
-
-    GpuConfig cfg = GpuConfig::Baseline();
-    cfg.topology = topology;
-    cfg.num_vcs = 4;
-    ExpectGpuSoaMatchesFull(cfg, TopologyName(topology));
   }
 }
 
-// Every deadlock-safe placement x routing x VC-policy combination of the
-// full GPU model on one virtually divided network, and every placement x
-// routing on two physical networks (one per class, each with its own SoA
-// core and 2 of the 4 VCs; each network runs fully monopolized whatever
-// the configured policy, so the policy loop is skipped there).
-TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
+/// Compares full and soa on the GPU model for every deadlock-safe
+/// placement x routing x listed VC policy under `division`; returns the
+/// number of combinations compared (the rest are refused up front).
+int CompareGpuDesignSpace(NetworkDivision division,
+                          const std::vector<VcPolicyKind>& policies) {
   int compared = 0;
-  for (NetworkDivision division :
-       {NetworkDivision::kVirtual, NetworkDivision::kPhysical}) {
-    for (McPlacement placement : kAllPlacements) {
-      for (RoutingAlgorithm routing : kRoutings) {
-        for (VcPolicyKind policy : kPolicies) {
-          if (division == NetworkDivision::kPhysical &&
-              policy != VcPolicyKind::kSplit) {
-            continue;
-          }
-          GpuConfig cfg = GpuConfig::Baseline();
-          cfg.division = division;
-          if (division == NetworkDivision::kPhysical) cfg.num_vcs = 4;
-          cfg.placement = placement;
-          cfg.routing = routing;
-          cfg.vc_policy = policy;
-          const std::string label =
-              std::string(McPlacementName(placement)) + "/" +
-              RoutingName(routing) + "/" + VcPolicyName(policy) +
-              (division == NetworkDivision::kPhysical ? " (dual)" : "");
-          try {
-            ExpectGpuSoaMatchesFull(cfg, label);
-            ++compared;
-          } catch (const std::invalid_argument&) {
-            // Deadlock-unsafe combination: correctly refused up front.
-          }
+  for (McPlacement placement : kAllPlacements) {
+    for (RoutingAlgorithm routing : kRoutings) {
+      for (VcPolicyKind policy : policies) {
+        GpuConfig cfg = GpuConfig::Baseline();
+        cfg.division = division;
+        if (division == NetworkDivision::kPhysical) cfg.num_vcs = 4;
+        cfg.placement = placement;
+        cfg.routing = routing;
+        cfg.vc_policy = policy;
+        const std::string label =
+            std::string(McPlacementName(placement)) + "/" +
+            RoutingName(routing) + "/" + VcPolicyName(policy) +
+            (division == NetworkDivision::kPhysical ? " (dual)" : "");
+        try {
+          ExpectGpuSoaMatchesFull(cfg, label);
+          ++compared;
+        } catch (const std::invalid_argument&) {
+          // Deadlock-unsafe combination: correctly refused up front.
         }
       }
     }
   }
-  EXPECT_GE(compared, 18) << "design space unexpectedly small";
+  return compared;
+}
+
+// Two physical networks (one per class), each with its own SoA core and 2
+// of the 4 VCs, for every placement x routing combination. Each network
+// runs fully monopolized whatever the configured policy, so one policy
+// stands for all.
+TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
+  EXPECT_GE(CompareGpuDesignSpace(NetworkDivision::kPhysical,
+                                  {VcPolicyKind::kSplit}),
+            6)
+      << "design space unexpectedly small";
+}
+
+// Every placement x routing x VC-policy combination on one virtually
+// divided network.
+TEST(SoaBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
+  EXPECT_GE(CompareGpuDesignSpace(NetworkDivision::kVirtual,
+                                  {std::begin(kPolicies), std::end(kPolicies)}),
+            12)
+      << "design space unexpectedly small";
 }
 
 // The sweep engine forwards its scheduling override into every cell.
