@@ -137,6 +137,10 @@ TEST(SnapshotFormatTest, PayloadBytesArePinned) {
        0x0531c53e842a6143ull},
       {"real L1", WithOverrides({{"real_l1", "true"}}),
        0xc0369a3006223030ull},
+      {"matrix arbiter", WithOverrides({{"arbiter", "matrix"}}),
+       0x00f146d61881d4b6ull},
+      {"WRR QoS", WithOverrides({{"qos", "wrr"}, {"num_vcs", "4"}}),
+       0xaf3dd3cdf659c804ull},
   };
   for (const Pin& pin : pins) {
     const std::uint64_t got = PayloadHash(pin.cfg);
