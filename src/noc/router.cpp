@@ -1,7 +1,9 @@
 #include "noc/router.hpp"
 
+#include <bit>
 #include <cassert>
 #include <string>
+#include <type_traits>
 
 #include "common/serialize.hpp"
 
@@ -9,6 +11,53 @@
 #include "noc/nic.hpp"
 
 namespace gnoc {
+
+namespace {
+
+std::uint64_t Bit(std::size_t i) { return std::uint64_t{1} << i; }
+
+/// The VCs of `range` as a mask (bit v = VC v).
+std::uint64_t RangeBits(VcRange range) {
+  if (range.size() <= 0) return 0;
+  return (Bit(static_cast<std::size_t>(range.end)) - 1) &
+         ~(Bit(static_cast<std::size_t>(range.begin)) - 1);
+}
+
+/// Moves `arb` and the QoS state exactly as the VA loop would when every
+/// requester in `requests` wins in turn and fails (no VC it may use is
+/// free), without arbitrating one by one where a round-robin pass can be
+/// collapsed. Returns the number of arbitrations (= VA failures).
+template <typename Arb>
+std::uint64_t FailAll(Arb& arb, std::uint64_t requests, QosArbitration mode,
+                      const std::array<int, kNumClasses>& priority,
+                      std::array<int, kNumClasses>& wrr_credit,
+                      const std::array<std::uint64_t, kNumClasses>& cls) {
+  if constexpr (std::is_same_v<Arb, RoundRobinArbiter>) {
+    if (mode != QosArbitration::kWrr) {
+      // Each strict-priority group is one rotation pass (kNone: one group).
+      const auto failures = static_cast<std::uint64_t>(std::popcount(requests));
+      while (requests != 0) {
+        const std::uint64_t group =
+            QosAllowed(requests, mode, priority, wrr_credit, cls);
+        arb.PassAll(group);
+        requests &= ~group;
+      }
+      return failures;
+    }
+  }
+  // Matrix order and WRR credits depend on every step: arbitrate each.
+  std::uint64_t failures = 0;
+  while (requests != 0) {
+    const int winner =
+        QosArbitrate(arb, requests, mode, priority, wrr_credit, cls);
+    if (winner < 0) break;
+    requests &= ~Bit(static_cast<std::size_t>(winner));
+    ++failures;
+  }
+  return failures;
+}
+
+}  // namespace
 
 VcRange DatelineHalf(VcRange range, std::int8_t half) {
   assert(range.size() >= 2 && "dateline topologies need >= 2 VCs per class");
@@ -28,6 +77,9 @@ Router::Router(NodeId node, Coord coord, const RouterConfig& config)
   num_local_ports_ = topo != nullptr ? topo->num_local_ports() : 1;
   const auto total_vcs =
       static_cast<std::size_t>(num_ports_ * config_.num_vcs);
+  // One request bit per input VC in a mask (Network validates the width).
+  assert(total_vcs <= kMaxArbiterInputs);
+  port_vc_bits_ = Bit(static_cast<std::size_t>(config_.num_vcs)) - 1;
   input_vcs_.reserve(total_vcs);
   for (std::size_t i = 0; i < total_vcs; ++i) {
     input_vcs_.emplace_back(config_.vc_depth);
@@ -77,22 +129,27 @@ Router::Router(NodeId node, Coord coord, const RouterConfig& config)
     // Standalone mesh routers never restrict VC halves.
     route_half_.assign(route_lut_.size(), -1);
   }
-  for (int p = 0; p < num_ports_; ++p) {
-    va_arb_.push_back(MakeArbiter(config_.arbiter, total_vcs));
-    sa_input_arb_.push_back(
-        MakeArbiter(config_.arbiter, static_cast<std::size_t>(config_.num_vcs)));
-    sa_output_arb_.push_back(
-        MakeArbiter(config_.arbiter, static_cast<std::size_t>(num_ports_)));
+  const auto ports = static_cast<std::size_t>(num_ports_);
+  const auto fill = [&](auto& arbs) {
+    arbs.reserve(3 * ports);
+    for (std::size_t p = 0; p < ports; ++p) arbs.emplace_back(total_vcs);
+    for (std::size_t p = 0; p < ports; ++p) {
+      arbs.emplace_back(static_cast<std::size_t>(config_.num_vcs));
+    }
+    for (std::size_t p = 0; p < ports; ++p) arbs.emplace_back(ports);
+  };
+  if (config_.arbiter == ArbiterKind::kMatrix) {
+    fill(matrix_arb_);
+  } else {
+    fill(rr_arb_);
   }
-  qos_va_credit_.assign(static_cast<std::size_t>(num_ports_), {});
-  qos_sa1_credit_.assign(static_cast<std::size_t>(num_ports_), {});
-  qos_sa2_credit_.assign(static_cast<std::size_t>(num_ports_), {});
+  qos_va_credit_.assign(ports, {});
+  qos_sa1_credit_.assign(ports, {});
+  qos_sa2_credit_.assign(ports, {});
   front_ready_.assign(total_vcs, kNeverCycle);
-  va_requests_.assign(total_vcs, false);
-  sa1_requests_.assign(static_cast<std::size_t>(config_.num_vcs), false);
-  sa2_requests_.assign(static_cast<std::size_t>(num_ports_), false);
-  nominee_.assign(static_cast<std::size_t>(num_ports_), -1);
-  grant_.assign(static_cast<std::size_t>(num_ports_), -1);
+  va_requests_.assign(ports, 0);
+  sa2_requests_.assign(ports, 0);
+  nominee_.assign(ports, -1);
 }
 
 void Router::SetOutputChannel(Port out_port, FlitChannel* channel) {
@@ -131,8 +188,10 @@ void Router::AcceptFlit(Port in_port, const Flit& flit, Cycle now) {
   Flit f = flit;
   f.ready = now + 1;  // models the RC/VA/SA pipeline stage
   ivc.buffer.Push(f);
-  Cycle& ready = front_ready_[static_cast<std::size_t>(idx)];
-  if (ready == kNeverCycle) ready = f.ready;  // landed in an empty VC
+  // Landed in an empty VC: the flit is the new front.
+  if (front_ready_[static_cast<std::size_t>(idx)] == kNeverCycle) {
+    RefreshFront(static_cast<std::size_t>(idx));
+  }
   ++buffered_;
 }
 
@@ -157,10 +216,34 @@ void Router::Tick(Cycle now) {
   }
   RecycleOutputVcs();
   if (RouteEligible(now)) {
-    AllocateVcs(now);
-    if (NominateInputs(now)) GrantAndTraverse(now);
+    if (config_.arbiter == ArbiterKind::kMatrix) {
+      Allocate(matrix_arb_, now);
+    } else {
+      Allocate(rr_arb_, now);
+    }
   }
   stats_.buffered_flit_cycles += buffered_;
+}
+
+template <typename Arb>
+void Router::Allocate(std::vector<Arb>& arbiters, Cycle now) {
+  Arb* arb = arbiters.data();
+  AllocateVcs(arb);
+  if (NominateInputs(arb + num_ports_)) {
+    GrantAndTraverse(arb + 2 * num_ports_, now);
+  }
+}
+
+void Router::RefreshFront(std::size_t idx) {
+  const VcBuffer& buffer = input_vcs_[idx].buffer;
+  for (std::uint64_t& mask : front_cls_) mask &= ~Bit(idx);
+  if (buffer.empty()) {
+    front_ready_[idx] = kNeverCycle;
+    return;
+  }
+  const Flit& front = buffer.Front();
+  front_ready_[idx] = front.ready;
+  front_cls_[static_cast<std::size_t>(ClassIndex(front.cls))] |= Bit(idx);
 }
 
 VcRange Router::AllowedRange(TrafficClass cls, Port out_port) const {
@@ -203,16 +286,15 @@ VcId Router::DynamicBoundary(Port out_port) const {
 }
 
 void Router::RecycleOutputVcs() {
-  for (int p = 0; p < num_ports_; ++p) {
-    const Port port = static_cast<Port>(p);
-    if (out_channels_[static_cast<std::size_t>(p)] == nullptr) continue;
-    for (VcId v = 0; v < config_.num_vcs; ++v) {
-      OutputVc& ovc = Ovc(port, v);
-      if (ovc.allocated && ovc.tail_sent &&
-          (!config_.atomic_vc_realloc || ovc.credits == config_.vc_depth)) {
-        ovc.allocated = false;
-        ovc.tail_sent = false;
-      }
+  for (std::uint64_t pending = tail_sent_; pending != 0;
+       pending &= pending - 1) {
+    const auto idx = static_cast<std::size_t>(std::countr_zero(pending));
+    OutputVc& ovc = output_vcs_[idx];
+    if (!config_.atomic_vc_realloc || ovc.credits == config_.vc_depth) {
+      ovc.allocated = false;
+      ovc.tail_sent = false;
+      allocated_ &= ~Bit(idx);
+      tail_sent_ &= ~Bit(idx);
     }
   }
 }
@@ -234,108 +316,123 @@ void Router::ReportBrokenWormhole(std::size_t idx, const Flit& front,
 
 bool Router::RouteEligible(Cycle now) {
   // --- RC: compute the output port for input VCs whose front flit is a
-  // head and whose current packet has no route yet.
+  // head and whose current packet has no route yet. The same scan records
+  // which VCs are eligible and which of them request a VC at each output
+  // port (routed, not ejecting, no output VC yet).
   // Local copies of the array bounds: the byte-sized field stores below
   // may alias anything, which would otherwise force a reload per VC.
   const Cycle* ready = front_ready_.data();
   const std::size_t total_vcs = front_ready_.size();
-  bool any_eligible = false;
+  std::uint64_t* va_requests = va_requests_.data();
+  std::uint64_t eligible = 0;
   for (std::size_t idx = 0; idx < total_vcs; ++idx) {
     if (ready[idx] > now) continue;
-    any_eligible = true;
+    eligible |= Bit(idx);
     InputVc& ivc = input_vcs_[idx];
-    if (ivc.route_valid) continue;
-    const Flit& front = ivc.buffer.Front();
-    if (!IsHead(front)) [[unlikely]] ReportBrokenWormhole(idx, front, now);
-    ivc.out_port = RouteFor(front.cls, front.dst_coord);
-    ivc.vc_half = RouteHalfFor(front.cls, front.dst_coord);
-    ivc.route_valid = true;
-    ivc.eject = PortIndex(ivc.out_port) < num_local_ports_;
-    ivc.out_vc = kInvalidVc;
+    if (!ivc.route_valid) {
+      const Flit& front = ivc.buffer.Front();
+      if (!IsHead(front)) [[unlikely]] ReportBrokenWormhole(idx, front, now);
+      ivc.out_port = RouteFor(front.cls, front.dst_coord);
+      ivc.vc_half = RouteHalfFor(front.cls, front.dst_coord);
+      ivc.route_valid = true;
+      ivc.eject = PortIndex(ivc.out_port) < num_local_ports_;
+      ivc.out_vc = kInvalidVc;
+    }
+    if (!ivc.eject && ivc.out_vc == kInvalidVc) {
+      va_requests[PortIndex(ivc.out_port)] |= Bit(idx);
+    }
   }
-  return any_eligible;
+  eligible_ = eligible;
+  return eligible != 0;
 }
 
-void Router::AllocateVcs(Cycle now) {
+template <typename Arb>
+void Router::AllocateVcs(Arb* va_arb) {
   // --- VA: allocate a downstream VC per output port, round-robin over
-  // requesting input VCs. Ejection needs no VC (the NIC reassembles per
-  // class), so local-bound packets skip VA.
-  const Cycle* ready = front_ready_.data();
-  const std::size_t total_vcs = front_ready_.size();
+  // requesting input VCs; each requester gets the lowest free VC in its
+  // allowed range. Ejection needs no VC (the NIC reassembles per class),
+  // so local-bound packets skip VA. A requester whose range has no free VC
+  // fails but still consumes its arbitration.
   for (int op = num_local_ports_; op < num_ports_; ++op) {
-    if (out_channels_[static_cast<std::size_t>(op)] == nullptr) continue;
+    const auto o = static_cast<std::size_t>(op);
+    std::uint64_t requests = va_requests_[o];
+    if (requests == 0) continue;
+    va_requests_[o] = 0;
+    if (out_channels_[o] == nullptr) continue;
     const Port out_port = static_cast<Port>(op);
-    va_requests_.assign(total_vcs, false);
-    int num_requests = 0;
-    for (std::size_t idx = 0; idx < total_vcs; ++idx) {
-      if (ready[idx] > now) continue;
-      const InputVc& ivc = input_vcs_[idx];
-      if (ivc.route_valid && !ivc.eject && ivc.out_vc == kInvalidVc &&
-          ivc.out_port == out_port) {
-        va_requests_[idx] = true;
-        ++num_requests;
-      }
+    std::uint64_t free = ~PortBits(allocated_, op) & port_vc_bits_;
+    // Each class's range here; a requester's dateline half narrows it.
+    std::array<VcRange, kNumClasses> range{};
+    std::array<std::uint64_t, kNumClasses> range_bits{};
+    for (std::size_t c = 0; c < range.size(); ++c) {
+      if ((requests & front_cls_[c]) == 0) continue;
+      range[c] = AllowedRange(static_cast<TrafficClass>(c), out_port);
+      range_bits[c] = RangeBits(range[c]);
     }
-    while (num_requests > 0) {
-      const int winner = QosArbitrate(
-          *va_arb_[static_cast<std::size_t>(op)], va_requests_,
-          config_.qos_arbitration, config_.qos_priority,
-          qos_va_credit_[static_cast<std::size_t>(op)], [&](int i) {
-            return ClassIndex(
-                input_vcs_[static_cast<std::size_t>(i)].buffer.Front().cls);
-          });
-      if (winner < 0) break;
-      va_requests_[static_cast<std::size_t>(winner)] = false;
-      --num_requests;
-      InputVc& ivc = input_vcs_[static_cast<std::size_t>(winner)];
-      const TrafficClass cls = ivc.buffer.Front().cls;
-      VcRange range = AllowedRange(cls, out_port);
-      if (ivc.vc_half >= 0) range = DatelineHalf(range, ivc.vc_half);
-      VcId granted = kInvalidVc;
-      for (VcId v = range.begin; v < range.end; ++v) {
-        if (!Ovc(out_port, v).allocated) {
-          granted = v;
-          break;
-        }
+    Arb& arb = va_arb[o];
+    std::array<int, kNumClasses>& credit = qos_va_credit_[o];
+    while (requests != 0) {
+      std::uint64_t reachable = 0;  // VCs some remaining requester may use
+      for (std::size_t c = 0; c < range.size(); ++c) {
+        if ((requests & front_cls_[c]) != 0) reachable |= range_bits[c];
       }
-      if (granted == kInvalidVc) {
+      if ((free & reachable) == 0) {
+        // Fast-fail: no remaining requester can succeed.
+        stats_.va_failures += FailAll(arb, requests, config_.qos_arbitration,
+                                      config_.qos_priority, credit,
+                                      front_cls_);
+        break;
+      }
+      const int winner = QosArbitrate(arb, requests, config_.qos_arbitration,
+                                       config_.qos_priority, credit,
+                                       front_cls_);
+      if (winner < 0) break;
+      const auto w = static_cast<std::size_t>(winner);
+      requests &= ~Bit(w);
+      InputVc& ivc = input_vcs_[w];
+      const auto cls = static_cast<std::size_t>(ClassIndex(FrontClass(w)));
+      const std::uint64_t allowed =
+          ivc.vc_half >= 0 ? RangeBits(DatelineHalf(range[cls], ivc.vc_half))
+                           : range_bits[cls];
+      const std::uint64_t grantable = free & allowed;
+      if (grantable == 0) {
         ++stats_.va_failures;
         continue;  // another class's requester may still succeed
       }
+      const VcId granted = std::countr_zero(grantable);
+      free &= ~Bit(static_cast<std::size_t>(granted));
+      allocated_ |= Bit(static_cast<std::size_t>(FlatVcIndex(out_port, granted)));
       Ovc(out_port, granted).allocated = true;
       ivc.out_vc = granted;
     }
   }
 }
 
-bool Router::NominateInputs(Cycle now) {
+template <typename Arb>
+bool Router::NominateInputs(Arb* sa1_arb) {
   // --- SA phase 1: each input port nominates one of its VCs.
   bool any_nominee = false;
+  nominee_cls_ = {};
   for (int p = 0; p < num_ports_; ++p) {
-    nominee_[static_cast<std::size_t>(p)] = -1;
-    const Cycle* port_ready =
-        front_ready_.data() + static_cast<std::size_t>(p * config_.num_vcs);
-    if (std::none_of(port_ready, port_ready + config_.num_vcs,
-                     [now](Cycle ready) { return ready <= now; })) {
-      continue;  // no VC can request or stall here
-    }
-    sa1_requests_.assign(sa1_requests_.size(), false);
-    bool any = false;
-    for (VcId v = 0; v < config_.num_vcs; ++v) {
-      if (port_ready[v] > now) continue;
-      const InputVc& ivc = Ivc(static_cast<Port>(p), v);
+    std::uint64_t candidates = PortBits(eligible_, p);
+    if (candidates == 0) continue;  // no VC can request or stall here
+    const std::size_t base = static_cast<std::size_t>(p * config_.num_vcs);
+    std::uint64_t requests = 0;
+    for (; candidates != 0; candidates &= candidates - 1) {
+      const int v = std::countr_zero(candidates);
+      const InputVc& ivc = input_vcs_[base + static_cast<std::size_t>(v)];
       if (!ivc.route_valid) continue;
-      const TrafficClass cls = ivc.buffer.Front().cls;
       bool resource_ok = false;
       if (ivc.eject) {
         Nic* nic = nics_[static_cast<std::size_t>(PortIndex(ivc.out_port))];
-        resource_ok = nic != nullptr && nic->CanAcceptEjection(cls);
+        resource_ok =
+            nic != nullptr &&
+            nic->CanAcceptEjection(FrontClass(base + static_cast<std::size_t>(v)));
       } else if (ivc.out_vc != kInvalidVc) {
         resource_ok = Ovc(ivc.out_port, ivc.out_vc).credits > 0;
       }
       if (resource_ok) {
-        sa1_requests_[static_cast<std::size_t>(v)] = true;
-        any = true;
+        requests |= Bit(static_cast<std::size_t>(v));
       } else if (ivc.out_vc != kInvalidVc || ivc.eject) {
         ++stats_.sa_stalls;
         if (!ivc.eject) {
@@ -345,52 +442,39 @@ bool Router::NominateInputs(Cycle now) {
         }
       }
     }
-    if (any) {
-      const int won = QosArbitrate(
-          *sa_input_arb_[static_cast<std::size_t>(p)], sa1_requests_,
-          config_.qos_arbitration, config_.qos_priority,
-          qos_sa1_credit_[static_cast<std::size_t>(p)], [&](int v) {
-            return ClassIndex(
-                Ivc(static_cast<Port>(p), v).buffer.Front().cls);
-          });
-      nominee_[static_cast<std::size_t>(p)] = won;
-      if (won >= 0) any_nominee = true;
-    }
+    if (requests == 0) continue;
+    const std::array<std::uint64_t, kNumClasses> port_cls{
+        PortBits(front_cls_[0], p), PortBits(front_cls_[1], p)};
+    const int won = QosArbitrate(sa1_arb[p], requests,
+                                 config_.qos_arbitration, config_.qos_priority,
+                                 qos_sa1_credit_[static_cast<std::size_t>(p)],
+                                 port_cls);
+    if (won < 0) continue;
+    nominee_[static_cast<std::size_t>(p)] = won;
+    const InputVc& ivc = input_vcs_[base + static_cast<std::size_t>(won)];
+    sa2_requests_[static_cast<std::size_t>(PortIndex(ivc.out_port))] |=
+        Bit(static_cast<std::size_t>(p));
+    nominee_cls_[static_cast<std::size_t>(ClassIndex(
+        FrontClass(base + static_cast<std::size_t>(won))))] |=
+        Bit(static_cast<std::size_t>(p));
+    any_nominee = true;
   }
   return any_nominee;
 }
 
-void Router::GrantAndTraverse(Cycle now) {
-  // --- SA phase 2: each output port grants one input port.
-  for (int op = 0; op < num_ports_; ++op) {
-    grant_[static_cast<std::size_t>(op)] = -1;
-    sa2_requests_.assign(sa2_requests_.size(), false);
-    bool any = false;
-    for (int p = 0; p < num_ports_; ++p) {
-      const int v = nominee_[static_cast<std::size_t>(p)];
-      if (v < 0) continue;
-      const InputVc& ivc = Ivc(static_cast<Port>(p), v);
-      if (PortIndex(ivc.out_port) == op) {
-        sa2_requests_[static_cast<std::size_t>(p)] = true;
-        any = true;
-      }
-    }
-    if (any) {
-      grant_[static_cast<std::size_t>(op)] = QosArbitrate(
-          *sa_output_arb_[static_cast<std::size_t>(op)], sa2_requests_,
-          config_.qos_arbitration, config_.qos_priority,
-          qos_sa2_credit_[static_cast<std::size_t>(op)], [&](int p2) {
-            const int v2 = nominee_[static_cast<std::size_t>(p2)];
-            return ClassIndex(
-                Ivc(static_cast<Port>(p2), v2).buffer.Front().cls);
-          });
-    }
-  }
-
-  // --- ST: winners traverse the switch.
+template <typename Arb>
+void Router::GrantAndTraverse(Arb* sa2_arb, Cycle now) {
+  // --- SA phase 2: each output port grants one input port, whose nominee
+  // then traverses the switch (ST).
   bool any_traversal = false;
   for (int op = 0; op < num_ports_; ++op) {
-    const int p = grant_[static_cast<std::size_t>(op)];
+    const std::uint64_t requests = sa2_requests_[static_cast<std::size_t>(op)];
+    if (requests == 0) continue;
+    sa2_requests_[static_cast<std::size_t>(op)] = 0;
+    const int p = QosArbitrate(sa2_arb[op], requests, config_.qos_arbitration,
+                               config_.qos_priority,
+                               qos_sa2_credit_[static_cast<std::size_t>(op)],
+                               nominee_cls_);
     if (p < 0) continue;
     const int v = nominee_[static_cast<std::size_t>(p)];
     assert(v >= 0);
@@ -398,8 +482,7 @@ void Router::GrantAndTraverse(Cycle now) {
         static_cast<std::size_t>(FlatVcIndex(static_cast<Port>(p), v));
     InputVc& ivc = input_vcs_[idx];
     Flit flit = ivc.buffer.Pop();
-    front_ready_[idx] =
-        ivc.buffer.empty() ? kNeverCycle : ivc.buffer.Front().ready;
+    RefreshFront(idx);
     --buffered_;
     any_traversal = true;
     ++stats_.flits_forwarded;
@@ -433,7 +516,13 @@ void Router::GrantAndTraverse(Cycle now) {
         const int link = audit_out_[static_cast<std::size_t>(op)];
         if (link >= 0) auditor_->OnFlitSent(link, flit, now);
       }
-      if (IsTail(flit)) ovc.tail_sent = true;  // recycled once drained
+      if (IsTail(flit)) {  // recycled once drained
+        ovc.tail_sent = true;
+        if (ovc.allocated) {
+          tail_sent_ |= Bit(static_cast<std::size_t>(
+              FlatVcIndex(out_port, ivc.out_vc)));
+        }
+      }
     }
 
     if (IsTail(flit)) {
@@ -484,17 +573,29 @@ void Router::Transfer(Ar& ar) {
   for (VcId& b : boundaries_) {
     ar.InRange(b, 0, config_.num_vcs + 1, "router VC boundary");
   }
-  ar(epoch_flits_, epoch_dirty_, next_boundary_update_, va_arb_,
-     sa_input_arb_, sa_output_arb_, qos_va_credit_, qos_sa1_credit_,
-     qos_sa2_credit_, stats_.flits_out, stats_.busy_cycles,
-     stats_.flits_forwarded, stats_.va_failures, stats_.sa_stalls,
-     stats_.credit_stall_by_vc, stats_.buffered_flit_cycles);
+  // Arbiters in wire order: VA, SA input, SA output (one kind is empty).
+  ar(epoch_flits_, epoch_dirty_, next_boundary_update_, rr_arb_, matrix_arb_,
+     qos_va_credit_, qos_sa1_credit_, qos_sa2_credit_, stats_.flits_out,
+     stats_.busy_cycles, stats_.flits_forwarded, stats_.va_failures,
+     stats_.sa_stalls, stats_.credit_stall_by_vc,
+     stats_.buffered_flit_cycles);
   if constexpr (Ar::kLoading) {
     buffered_ = 0;
+    front_cls_ = {};
     for (std::size_t idx = 0; idx < input_vcs_.size(); ++idx) {
-      const VcBuffer& buffer = input_vcs_[idx].buffer;
-      front_ready_[idx] = buffer.empty() ? kNeverCycle : buffer.Front().ready;
-      buffered_ += static_cast<std::uint32_t>(buffer.size());
+      RefreshFront(idx);
+      buffered_ += static_cast<std::uint32_t>(input_vcs_[idx].buffer.size());
+    }
+    allocated_ = 0;
+    tail_sent_ = 0;
+    for (std::size_t idx = 0; idx < output_vcs_.size(); ++idx) {
+      const OutputVc& ovc = output_vcs_[idx];
+      if (!ovc.allocated) continue;
+      allocated_ |= Bit(idx);
+      const auto port = idx / static_cast<std::size_t>(config_.num_vcs);
+      if (ovc.tail_sent && out_channels_[port] != nullptr) {
+        tail_sent_ |= Bit(idx);
+      }
     }
   }
 }

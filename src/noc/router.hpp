@@ -22,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -45,88 +44,64 @@ class SoaCore;
 /// the Network validates that for every dateline topology at construction.
 VcRange DatelineHalf(VcRange range, std::int8_t half);
 
-/// One QoS-aware arbiter invocation of the router's VA, SA1 and SA2
-/// stages. `cls_of(i)` maps a request index to its class index and is only
-/// called for indices with requests[i] == true (and for the winner). Under
-/// kNone this is exactly `arb.Arbitrate(requests)`. kStrict masks the
-/// requests to the highest-priority requesting class; ties fall through to
-/// plain arbitration. kWrr spends per-class credits (`wrr_credit`,
-/// persistent per arbiter site): when no requesting class holds credit the
-/// credits recharge to the class weights, the mask keeps funded classes
-/// only, and the winner's class pays one credit.
-template <typename ClsOf>
-int QosArbitrate(Arbiter& arb, const std::vector<bool>& requests,
-                 QosArbitration mode,
-                 const std::array<int, kNumClasses>& priority,
-                 std::array<int, kNumClasses>& wrr_credit, ClsOf&& cls_of) {
-  if (mode == QosArbitration::kNone) return arb.Arbitrate(requests);
-  std::array<bool, kNumClasses> requesting{};
-  bool any = false;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i]) {
-      requesting[static_cast<std::size_t>(cls_of(static_cast<int>(i)))] = true;
-      any = true;
-    }
-  }
-  if (!any) return arb.Arbitrate(requests);  // vacuous: arbiter returns -1
-  std::array<bool, kNumClasses> allowed{};
+/// The requests `QosArbitrate` lets through this call: kStrict keeps the
+/// classes of highest priority among the requesting ones (ties stay
+/// together); kWrr keeps the requesting classes that hold credit,
+/// recharging every class to its weight first when none does. Under kNone,
+/// or with no requests, that is every request. `class_mask[c]` marks the
+/// inputs of class c; only their bits within `requests` are read.
+inline std::uint64_t QosAllowed(
+    std::uint64_t requests, QosArbitration mode,
+    const std::array<int, kNumClasses>& priority,
+    std::array<int, kNumClasses>& wrr_credit,
+    const std::array<std::uint64_t, kNumClasses>& class_mask) {
+  if (mode == QosArbitration::kNone || requests == 0) return requests;
+  std::uint64_t allowed = 0;
   if (mode == QosArbitration::kStrict) {
     int best = 0;
     bool seeded = false;
-    for (int c = 0; c < kNumClasses; ++c) {
-      if (requesting[static_cast<std::size_t>(c)] &&
-          (!seeded || priority[static_cast<std::size_t>(c)] > best)) {
-        best = priority[static_cast<std::size_t>(c)];
+    for (std::size_t c = 0; c < class_mask.size(); ++c) {
+      if ((requests & class_mask[c]) != 0 && (!seeded || priority[c] > best)) {
+        best = priority[c];
         seeded = true;
       }
     }
-    for (int c = 0; c < kNumClasses; ++c) {
-      allowed[static_cast<std::size_t>(c)] =
-          requesting[static_cast<std::size_t>(c)] &&
-          priority[static_cast<std::size_t>(c)] == best;
+    for (std::size_t c = 0; c < class_mask.size(); ++c) {
+      if (priority[c] == best) allowed |= class_mask[c];
     }
   } else {  // kWrr
     bool funded = false;
-    for (int c = 0; c < kNumClasses; ++c) {
-      if (requesting[static_cast<std::size_t>(c)] &&
-          wrr_credit[static_cast<std::size_t>(c)] > 0) {
-        funded = true;
-      }
+    for (std::size_t c = 0; c < class_mask.size(); ++c) {
+      if ((requests & class_mask[c]) != 0 && wrr_credit[c] > 0) funded = true;
     }
     if (!funded) {
-      for (int c = 0; c < kNumClasses; ++c) {
-        wrr_credit[static_cast<std::size_t>(c)] =
-            std::max(1, priority[static_cast<std::size_t>(c)]);
+      for (std::size_t c = 0; c < class_mask.size(); ++c) {
+        wrr_credit[c] = std::max(1, priority[c]);
       }
     }
-    for (int c = 0; c < kNumClasses; ++c) {
-      allowed[static_cast<std::size_t>(c)] =
-          requesting[static_cast<std::size_t>(c)] &&
-          wrr_credit[static_cast<std::size_t>(c)] > 0;
+    for (std::size_t c = 0; c < class_mask.size(); ++c) {
+      if (wrr_credit[c] > 0) allowed |= class_mask[c];
     }
   }
-  bool unmasked = true;
-  for (int c = 0; c < kNumClasses; ++c) {
-    if (requesting[static_cast<std::size_t>(c)] &&
-        !allowed[static_cast<std::size_t>(c)]) {
-      unmasked = false;
-    }
-  }
-  int winner;
-  if (unmasked) {
-    winner = arb.Arbitrate(requests);
-  } else {
-    std::vector<bool> masked(requests);
-    for (std::size_t i = 0; i < masked.size(); ++i) {
-      if (masked[i] &&
-          !allowed[static_cast<std::size_t>(cls_of(static_cast<int>(i)))]) {
-        masked[i] = false;
-      }
-    }
-    winner = arb.Arbitrate(masked);
-  }
+  return requests & allowed;
+}
+
+/// One QoS-aware arbiter invocation of the router's VA, SA1 and SA2
+/// stages: `arb.Arbitrate` over the requests QosAllowed lets through.
+/// Under kWrr the winner's class pays one credit (`wrr_credit` persists
+/// per arbiter site).
+template <typename Arb>
+int QosArbitrate(Arb& arb, std::uint64_t requests, QosArbitration mode,
+                 const std::array<int, kNumClasses>& priority,
+                 std::array<int, kNumClasses>& wrr_credit,
+                 const std::array<std::uint64_t, kNumClasses>& class_mask) {
+  const int winner = arb.Arbitrate(
+      QosAllowed(requests, mode, priority, wrr_credit, class_mask));
   if (mode == QosArbitration::kWrr && winner >= 0) {
-    --wrr_credit[static_cast<std::size_t>(cls_of(winner))];
+    const std::uint64_t bit = std::uint64_t{1} << winner;
+    for (std::size_t c = 0; c < class_mask.size(); ++c) {
+      if ((class_mask[c] & bit) != 0) --wrr_credit[c];
+    }
   }
   return winner;
 }
@@ -321,8 +296,9 @@ class Router {
   /// and output VCs, dynamic-boundary state, arbiter priorities, stats.
   /// Wiring (channels, NICs, auditor) and the route LUT are
   /// construction-derived and not serialized; Load requires a Router built
-  /// from the identical config. The ready cycles and the buffered count
-  /// are re-derived from the loaded buffers.
+  /// from the identical config. The ready cycles, front classes, buffered
+  /// count and the allocated/tail-sent output VC masks are re-derived from
+  /// the loaded VCs.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
   template <typename Ar>
@@ -359,6 +335,10 @@ class Router {
   /// Frees output VCs whose packet has fully drained downstream.
   void RecycleOutputVcs();
 
+  /// One Tick's allocation and traversal with the configured arbiter kind.
+  template <typename Arb>
+  void Allocate(std::vector<Arb>& arbiters, Cycle now);
+
   /// The VC range `cls` may allocate on `out_port` right now (honours the
   /// static policy, the link mode and — for kDynamic — the port boundary).
   VcRange AllowedRange(TrafficClass cls, Port out_port) const;
@@ -376,6 +356,19 @@ class Router {
     return PortIndex(port) * config_.num_vcs + vc;
   }
 
+  /// The bits of the [port][vc] flattened masks that belong to `port`,
+  /// shifted down to bit 0 = VC 0.
+  std::uint64_t PortBits(std::uint64_t mask, int port) const {
+    return (mask >> (port * config_.num_vcs)) & port_vc_bits_;
+  }
+
+  /// Class of the flit at the front of input VC `idx` (which holds one).
+  TrafficClass FrontClass(std::size_t idx) const {
+    static_assert(kNumClasses == 2, "one mask bit tells the class apart");
+    return static_cast<TrafficClass>(
+        (front_cls_[ClassIndex(TrafficClass::kReply)] >> idx) & 1);
+  }
+
   InputVc& Ivc(Port port, VcId vc) {
     return input_vcs_[static_cast<std::size_t>(FlatVcIndex(port, vc))];
   }
@@ -389,18 +382,26 @@ class Router {
     return output_vcs_[static_cast<std::size_t>(FlatVcIndex(port, vc))];
   }
 
-  /// RC for every eligible unrouted head. Returns false when no input VC
-  /// is eligible this cycle: VA/SA/ST then cannot touch any state (no
-  /// requests, so no arbiter call and no stall counter) and are skipped.
+  /// RC for every eligible unrouted head; records the eligible input VCs
+  /// and buckets the VA requesters by output port. Returns false when no
+  /// input VC is eligible this cycle: VA/SA/ST then cannot touch any state
+  /// (no requests, so no arbiter call and no stall counter) and are
+  /// skipped.
   bool RouteEligible(Cycle now);
   /// A body/tail flit heads an unrouted VC: asserts without an auditor,
   /// otherwise reports a kWormhole violation.
   void ReportBrokenWormhole(std::size_t idx, const Flit& front, Cycle now);
-  void AllocateVcs(Cycle now);  // VA
-  /// SA phase 1: each input port nominates one VC into `nominee_`.
-  /// Returns false when no port nominated (SA2/ST would change nothing).
-  bool NominateInputs(Cycle now);
-  void GrantAndTraverse(Cycle now);  // SA phase 2 + ST
+  template <typename Arb>
+  void AllocateVcs(Arb* va_arb);  // VA
+  /// SA phase 1: each input port nominates one VC into `nominee_` and
+  /// requests the nominee's output port in `sa2_requests_`. Returns false
+  /// when no port nominated (SA2/ST would change nothing).
+  template <typename Arb>
+  bool NominateInputs(Arb* sa1_arb);
+  template <typename Arb>
+  void GrantAndTraverse(Arb* sa2_arb, Cycle now);  // SA phase 2 + ST
+  /// Updates front_ready_/front_cls_ after input VC `idx`'s front changed.
+  void RefreshFront(std::size_t idx);
 
   NodeId node_;
   Coord coord_;
@@ -417,6 +418,17 @@ class Router {
   /// instead of a deque dereference.
   std::vector<Cycle> front_ready_;
   std::uint32_t buffered_ = 0;  ///< flits across all input VCs
+
+  // Bit masks over the [port][vc] flattened index; ports x VCs <= 64 (the
+  // Network rejects wider routers). All are derived state, rebuilt on Load.
+  std::uint64_t port_vc_bits_ = 0;  ///< num_vcs low bits
+  /// Input VCs whose front flit is of class c (empty VCs in neither).
+  std::array<std::uint64_t, kNumClasses> front_cls_{};
+  std::uint64_t allocated_ = 0;  ///< output VCs with OutputVc::allocated
+  /// Allocated output VCs on wired ports whose tail has left: the only
+  /// ones RecycleOutputVcs can free.
+  std::uint64_t tail_sent_ = 0;
+  std::uint64_t eligible_ = 0;  ///< input VCs ready this Tick
 
   std::vector<FlitChannel*> out_channels_;    // sized num_ports_
   std::vector<CreditChannel*> credit_return_;
@@ -442,12 +454,13 @@ class Router {
   bool epoch_dirty_ = false;  ///< any epoch_flits_ entry nonzero
   Cycle next_boundary_update_ = 0;
 
-  // One VA arbiter per output port (over all input VCs), one SA input
-  // arbiter per input port (over its VCs), one SA output arbiter per output
-  // port (over input ports). Kind per RouterConfig::arbiter.
-  std::vector<std::unique_ptr<Arbiter>> va_arb_;
-  std::vector<std::unique_ptr<Arbiter>> sa_input_arb_;
-  std::vector<std::unique_ptr<Arbiter>> sa_output_arb_;
+  // The arbiters of the configured kind (the other vector stays empty),
+  // in three per-port runs: [0, P) one VA arbiter per output port (over
+  // all input VCs), [P, 2P) one SA input arbiter per input port (over its
+  // VCs), [2P, 3P) one SA output arbiter per output port (over input
+  // ports), P = num_ports_.
+  std::vector<RoundRobinArbiter> rr_arb_;
+  std::vector<MatrixArbiter> matrix_arb_;
 
   // Per-site WRR credit state (qos_arbitration == kWrr only; see
   // QosArbitrate). One entry per arbiter above, indexed like it.
@@ -455,12 +468,15 @@ class Router {
   std::vector<std::array<int, kNumClasses>> qos_sa1_credit_;
   std::vector<std::array<int, kNumClasses>> qos_sa2_credit_;
 
-  // Arbitration scratch, preallocated so a Tick never allocates.
-  std::vector<bool> va_requests_;   ///< [port][vc] flattened
-  std::vector<bool> sa1_requests_;  ///< per VC of one input port
-  std::vector<bool> sa2_requests_;  ///< per input port
-  std::vector<int> nominee_;        ///< VC per input port, -1 = none
-  std::vector<int> grant_;          ///< input port per output port, -1 = none
+  // Arbitration scratch, preallocated so a Tick never allocates. Each
+  // stage leaves its request masks zeroed for the next Tick.
+  /// Per output port: the input VCs requesting a VC there.
+  std::vector<std::uint64_t> va_requests_;
+  /// Per output port: the input ports whose nominee leaves through it.
+  std::vector<std::uint64_t> sa2_requests_;
+  std::vector<int> nominee_;  ///< VC per input port (valid if it requests)
+  /// Input ports whose nominee is of class c.
+  std::array<std::uint64_t, kNumClasses> nominee_cls_{};
 
   RouterStats stats_;
 };
