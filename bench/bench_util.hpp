@@ -189,6 +189,16 @@ inline BenchOptions ParseBenchOptions(
     std::cout << flags.Help();
     std::exit(0);
   }
+  // Grid flags that pass their own checks can still combine into routers
+  // too wide for the allocator (num_vcs with topology): fail here like a
+  // bad flag, not when the first cell builds its network.
+  try {
+    const GpuConfig grid = WithGridOverrides(GpuConfig::Baseline(), opts);
+    ValidateArbiterWidth(grid.topology, grid.num_vcs);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << program << ": " << e.what() << '\n';
+    std::exit(2);
+  }
   const double scale = opts.raw.GetDouble("scale", 1.0);
   opts.lengths = RunLengths{}.Scaled(scale);
   opts.csv = opts.raw.GetBool("csv", false);

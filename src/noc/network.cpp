@@ -62,22 +62,21 @@ void ValidateDatelineVcs(const NetworkConfig& config) {
   }
 }
 
-/// The router's arbiters take their requests as one 64-bit mask, and the
-/// VA arbiter has one input per (port, VC) of the router.
-void ValidateArbiterWidth(const NetworkConfig& config, int radix) {
+}  // namespace
+
+void ValidateArbiterWidth(TopologyKind topology, int num_vcs) {
+  const int radix = TopologyRadix(topology);
   const auto limit = static_cast<int>(kMaxArbiterInputs);
-  if (radix * config.num_vcs > limit) {
+  if (radix * num_vcs > limit) {
     throw std::invalid_argument(
-        "num_vcs=" + std::to_string(config.num_vcs) + " is too many for the " +
+        "num_vcs=" + std::to_string(num_vcs) + " is too many for the " +
         std::to_string(radix) + "-port routers of topology '" +
-        TopologyName(config.topology) +
+        TopologyName(topology) +
         "': the VC allocator needs router radix x num_vcs <= " +
         std::to_string(limit) + " (here num_vcs <= " +
         std::to_string(limit / radix) + ")");
   }
 }
-
-}  // namespace
 
 Network::Network(const NetworkConfig& config)
     : config_(config),
@@ -92,7 +91,7 @@ Network::Network(const NetworkConfig& config)
         "dynamic_epoch must be >= 1 (got 0): the dynamic VC policy commits "
         "epoch flit counts every dynamic_epoch cycles");
   }
-  ValidateArbiterWidth(config_, topo_.radix());
+  ValidateArbiterWidth(config_.topology, config_.num_vcs);
   if (topo_.has_datelines()) ValidateDatelineVcs(config_);
   if (config_.audit) {
     auditor_ = std::make_unique<Auditor>(config_.audit_interval);

@@ -54,6 +54,13 @@ class EnumRegistry;
 /// registration wants its canonical choice list).
 const EnumRegistry<SchedulingMode>& SchedulingRegistry();
 
+/// Throws std::invalid_argument naming num_vcs, the router radix and the
+/// limit unless the routers of `topology` fit the allocator's 64-bit
+/// request masks: radix x num_vcs <= kMaxArbiterInputs. Network's
+/// constructor checks it; the sweep harnesses check their grid flags
+/// with it before running.
+void ValidateArbiterWidth(TopologyKind topology, int num_vcs);
+
 /// Full network configuration.
 struct NetworkConfig {
   /// Topology family; width x height stays the *tile* grid on every

@@ -49,6 +49,10 @@ TopologyKind ParseTopology(const std::string& name) {
   return TopologyRegistry().Parse(name);
 }
 
+int TopologyRadix(TopologyKind kind) {
+  return kind == TopologyKind::kCMesh ? kCMeshLocalPorts + 4 : kNumPorts;
+}
+
 void Topology::AllocateTable() {
   peer_.assign(static_cast<std::size_t>(num_routers_ * radix_), -1);
   peer_port_.assign(static_cast<std::size_t>(num_routers_ * radix_), -1);
@@ -71,7 +75,7 @@ Topology Topology::Mesh(int width, int height) {
   t.width_ = width;
   t.height_ = height;
   t.num_routers_ = width * height;
-  t.radix_ = kNumPorts;
+  t.radix_ = TopologyRadix(TopologyKind::kMesh);
   t.num_local_ports_ = 1;
   t.AllocateTable();
   for (int y = 0; y < height; ++y) {
@@ -100,7 +104,7 @@ Topology Topology::Torus(int width, int height) {
   t.width_ = width;
   t.height_ = height;
   t.num_routers_ = width * height;
-  t.radix_ = kNumPorts;
+  t.radix_ = TopologyRadix(TopologyKind::kTorus);
   t.num_local_ports_ = 1;
   t.AllocateTable();
   for (int y = 0; y < height; ++y) {
@@ -126,7 +130,7 @@ Topology Topology::CMesh(int width, int height) {
   const int rw = width / 2;
   const int rh = height / 2;
   t.num_routers_ = rw * rh;
-  t.radix_ = kCMeshLocalPorts + 4;
+  t.radix_ = TopologyRadix(TopologyKind::kCMesh);
   t.num_local_ports_ = kCMeshLocalPorts;
   t.AllocateTable();
   for (int ry = 0; ry < rh; ++ry) {
@@ -160,7 +164,7 @@ Topology Topology::Circulant(int num_tiles, int s1, int s2) {
   t.width_ = n;
   t.height_ = 1;
   t.num_routers_ = n;
-  t.radix_ = 5;
+  t.radix_ = TopologyRadix(TopologyKind::kCirculant);
   t.num_local_ports_ = 1;
   t.s1_ = s1;
   t.s2_ = s2;

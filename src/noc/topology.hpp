@@ -61,6 +61,9 @@ const char* TopologyName(TopologyKind k);
 /// on unknown names.
 TopologyKind ParseTopology(const std::string& name);
 
+/// Ports per router of topology `kind` (5; 8 for the concentrated mesh).
+int TopologyRadix(TopologyKind kind);
+
 /// One routing decision: the output port to take at a router, and — on
 /// topologies with wrap links — which dateline half of the class's VC
 /// range the hop must allocate from (-1: unrestricted, the mesh/cmesh

@@ -18,6 +18,9 @@
 #include "dse/job.hpp"
 #include "dse/server.hpp"
 #include "dse/space.hpp"
+#include "gpgpu/workload.hpp"
+#include "sim/gpu_config.hpp"
+#include "sim/gpu_system.hpp"
 
 namespace gnoc {
 namespace {
@@ -122,6 +125,99 @@ TEST(InputSurfaceTest, BadGpuConfigKeysFailAlikeOnEverySurface) {
     }
   }
   fs::remove(config_file);
+}
+
+/// Routers wider than the allocator's 64-bit request masks (ports x
+/// num_vcs > 64), as flags and as a job spec's "base" members, with the
+/// message every surface gives.
+struct WideRouter {
+  std::vector<std::string> tokens;
+  std::string base;
+  std::string message;
+};
+
+const std::vector<WideRouter>& WideRouters() {
+  static const std::vector<WideRouter> kWide = {
+      {{"num_vcs=13"},
+       R"("num_vcs": 13)",
+       "num_vcs=13 is too many for the 5-port routers of topology 'mesh': "
+       "the VC allocator needs router radix x num_vcs <= 64 (here num_vcs "
+       "<= 12)"},
+      {{"topology=cmesh", "num_vcs=9"},
+       R"("topology": "cmesh", "num_vcs": 9)",
+       "num_vcs=9 is too many for the 8-port routers of topology 'cmesh': "
+       "the VC allocator needs router radix x num_vcs <= 64 (here num_vcs "
+       "<= 8)"},
+  };
+  return kWide;
+}
+
+/// A one-scheme sweep job with `base` as the members of its "base" object.
+std::string SpecWithBaseMembers(const std::string& base) {
+  return R"({"type": "sweep", "workloads": ["BFS"], "warmup": 300,
+             "measure": 1500, "base": {)" +
+         base + R"(}, "schemes": [{"label": "x"}]})";
+}
+
+/// Runs a sweep harness's option parsing over `tokens` (exits 2 on error).
+void ParseSweepHarness(const std::vector<std::string>& tokens) {
+  std::vector<std::string> storage{"fig8_vc_monopolizing"};
+  storage.insert(storage.end(), tokens.begin(), tokens.end());
+  std::vector<char*> argv;
+  for (std::string& s : storage) argv.push_back(s.data());
+  bench::ParseBenchOptions(static_cast<int>(argv.size()), argv.data(),
+                           "fig8_vc_monopolizing", "");
+}
+
+// Each key is in range on its own, so only the network can tell that the
+// combination does not fit; every surface must still fail with a typed
+// error naming num_vcs, the router radix and the limit.
+TEST(InputSurfaceTest, TooWideRoutersFailOnEverySurface) {
+  const fs::path config_file =
+      fs::temp_directory_path() / "gnoc_wide_router_test.cfg";
+  for (const WideRouter& wide : WideRouters()) {
+    // A driver with the full flag surface (quickstart): the flags parse,
+    // building the system throws.
+    FlagSet driver("quickstart", "");
+    RegisterGpuConfigFlags(driver);
+    std::vector<const char*> argv{"quickstart"};
+    for (const std::string& t : wide.tokens) argv.push_back(t.c_str());
+    GpuConfig cfg = GpuConfig::Baseline();
+    cfg.ApplyOverrides(
+        driver.Parse(static_cast<int>(argv.size()), argv.data()));
+    try {
+      GpuSystem gpu(cfg, FindWorkload("BFS"));
+      ADD_FAILURE() << wide.tokens.back() << " built a network";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), wide.message);
+    }
+
+    // The sweep harnesses reject it while parsing, from flags and from a
+    // config= file alike.
+    EXPECT_EXIT(ParseSweepHarness(wide.tokens), ::testing::ExitedWithCode(2),
+                "too many for the [0-9]-port routers");
+    {
+      std::ofstream file(config_file);
+      for (const std::string& t : wide.tokens) file << t << "\n";
+    }
+    EXPECT_EXIT(ParseSweepHarness({"config=" + config_file.string()}),
+                ::testing::ExitedWithCode(2),
+                "too many for the [0-9]-port routers");
+  }
+  fs::remove(config_file);
+}
+
+TEST(InputSurfaceTest, WidestMeshRoutersStillRun) {
+  FlagSet driver("quickstart", "");
+  RegisterGpuConfigFlags(driver);
+  const std::vector<const char*> argv{"quickstart", "num_vcs=12"};
+  GpuConfig cfg = GpuConfig::Baseline();
+  cfg.ApplyOverrides(driver.Parse(static_cast<int>(argv.size()), argv.data()));
+  ASSERT_EQ(cfg.num_vcs, 12);
+  GpuSystem gpu(cfg, FindWorkload("BFS"));
+  const GpuRunStats stats = gpu.Run(100, 400);
+  EXPECT_EQ(stats.cycles, 400u);
+  EXPECT_GT(stats.instructions, 0u);
 }
 
 TEST(JobSpecTest, ParsesSweepSpecs) {
@@ -419,6 +515,29 @@ TEST_F(DseServerTest, BadConfigKeysFailWithoutStoppingTheServer) {
   }
   EXPECT_EQ(Status("good"), "done");
   EXPECT_TRUE(fs::exists(Spool() + "/results/good/sweep.json"));
+}
+
+TEST_F(DseServerTest, TooWideRoutersFailWithoutStoppingTheServer) {
+  {
+    ServerOptions options;
+    options.spool = Spool();
+    options.once = true;
+    options.poll_ms = 10;
+    JobServer server(options);
+    for (std::size_t i = 0; i < WideRouters().size(); ++i) {
+      server.Submit("wide" + std::to_string(i),
+                    SpecWithBaseMembers(WideRouters()[i].base));
+    }
+    EXPECT_EQ(server.Run(), static_cast<int>(WideRouters().size()));
+  }
+  for (std::size_t i = 0; i < WideRouters().size(); ++i) {
+    const std::string id = "wide" + std::to_string(i);
+    EXPECT_EQ(Status(id), "failed") << id;
+    EXPECT_TRUE(fs::exists(Spool() + "/done/" + id + ".json")) << id;
+    const JsonValue status =
+        JsonValue::Parse(ReadFile(Spool() + "/status/" + id + ".json"));
+    EXPECT_EQ(status.At("error").AsString(), WideRouters()[i].message) << id;
+  }
 }
 
 TEST_F(DseServerTest, OrphanedRunningSpecsAreReAdopted) {

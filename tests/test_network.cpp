@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -32,6 +34,27 @@ NetworkConfig SmallConfig() {
   cfg.num_vcs = 2;
   cfg.vc_depth = 4;
   return cfg;
+}
+
+// The allocator takes one request bit per (port, VC) in a 64-bit mask.
+TEST(NetworkTest, RejectsRoutersWiderThanTheAllocatorMask) {
+  NetworkConfig cfg;
+  cfg.num_vcs = 13;  // 5 ports x 13 = 65
+  try {
+    Network net(cfg);
+    ADD_FAILURE() << "a 65-input VC allocator was built";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "num_vcs=13 is too many for the 5-port routers of topology "
+              "'mesh': the VC allocator needs router radix x num_vcs <= 64 "
+              "(here num_vcs <= 12)");
+  }
+  cfg.num_vcs = 12;
+  EXPECT_NO_THROW(Network{cfg});
+  cfg.topology = TopologyKind::kCMesh;  // 8 ports
+  EXPECT_THROW(Network{cfg}, std::invalid_argument);
+  cfg.num_vcs = 8;
+  EXPECT_NO_THROW(Network{cfg});
 }
 
 TEST(NetworkTest, SinglePacketIsDelivered) {
