@@ -217,16 +217,16 @@ void Router::Tick(Cycle now) {
   RecycleOutputVcs();
   if (RouteEligible(now)) {
     if (config_.arbiter == ArbiterKind::kMatrix) {
-      Allocate(matrix_arb_, now);
+      AllocateAndTraverse(matrix_arb_, now);
     } else {
-      Allocate(rr_arb_, now);
+      AllocateAndTraverse(rr_arb_, now);
     }
   }
   stats_.buffered_flit_cycles += buffered_;
 }
 
 template <typename Arb>
-void Router::Allocate(std::vector<Arb>& arbiters, Cycle now) {
+void Router::AllocateAndTraverse(std::vector<Arb>& arbiters, Cycle now) {
   Arb* arb = arbiters.data();
   AllocateVcs(arb);
   if (NominateInputs(arb + num_ports_)) {

@@ -337,7 +337,7 @@ class Router {
 
   /// One Tick's allocation and traversal with the configured arbiter kind.
   template <typename Arb>
-  void Allocate(std::vector<Arb>& arbiters, Cycle now);
+  void AllocateAndTraverse(std::vector<Arb>& arbiters, Cycle now);
 
   /// The VC range `cls` may allocate on `out_port` right now (honours the
   /// static policy, the link mode and — for kDynamic — the port boundary).
